@@ -241,15 +241,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _dedupe_counted(table: ingest.RawTable) -> tuple[ingest.RawTable, int]:
+    """ingest.dedupe, plus the number of rows it dropped."""
+    kept = ingest.dedupe(table)
+    return kept, len(table.rows) - len(kept.rows)
+
+
 def _load_dataset(cfg: RunConfig, data_dir: Path):
     for name in ("sensor.csv", "metrology.csv", "limits.csv"):
         if not (data_dir / name).exists():
             raise ConfigError(f"data dir {data_dir} is missing {name}")
     cat_cols = cfg.sensor_categorical_columns()
-    sensor_raw = ingest.dedupe(ingest.load_table(
+    sensor_raw, sensor_dups = _dedupe_counted(ingest.load_table(
         data_dir / "sensor.csv", required_columns=ingest.SENSOR_ID_COLUMNS + cat_cols))
-    metrology_raw = ingest.dedupe(ingest.load_table(
+    metrology_raw, metrology_dups = _dedupe_counted(ingest.load_table(
         data_dir / "metrology.csv", required_columns=ingest.METROLOGY_COLUMNS))
+    _status(f"duplicate rows dropped: {sensor_dups} sensor, {metrology_dups} metrology")
+    duplicates = {"sensor": sensor_dups, "metrology": metrology_dups}
     limits_raw = ingest.load_table(data_dir / "limits.csv",
                                    required_columns=ingest.LIMITS_COLUMNS)
     steps = ingest.parse_sensor_table(sensor_raw, cat_cols)
@@ -257,7 +265,7 @@ def _load_dataset(cfg: RunConfig, data_dir: Path):
     limits = ingest.parse_limits_table(limits_raw)
     numeric_cols = ingest.sensor_numeric_columns(sensor_raw, cat_cols)
     wafers = ingest.assemble_wafers(steps, measurements)
-    return wafers, limits, numeric_cols, cat_cols
+    return wafers, limits, numeric_cols, cat_cols, duplicates
 
 
 def cmd_preprocess(args) -> int:
@@ -267,7 +275,7 @@ def cmd_preprocess(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.get_int("preprocess", "seed", 0)
 
-    wafers, limits, numeric_cols, cat_cols = _load_dataset(cfg, data_dir)
+    wafers, limits, numeric_cols, cat_cols, duplicates = _load_dataset(cfg, data_dir)
     train_w, val_w, test_w = ingest.split_train_val_test(wafers, seed)
     _status(f"wafers: {len(wafers)} -> split {len(train_w)}/{len(val_w)}/{len(test_w)}")
 
@@ -305,6 +313,7 @@ def cmd_preprocess(args) -> int:
         "split_seed": seed,
         "train_on_monitor": monitor_is_training,
         "monitor_marker": cfg.monitor_marker(),
+        "duplicate_rows_dropped": duplicates,
     })
     _status(f"manifest hash: {manifest_hash}")
     return 0

@@ -15,7 +15,8 @@ test suite). Training runs in float32; pass dtype=np.float64 to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,55 +62,55 @@ def param_count(cfg: ArchConfig) -> int:
     return (s + 1) * d + 4 * (d * d + d * d + d) + (d + m + 1) * h + (h + 1) * h + (h + 1)
 
 
-@dataclass
-class ModelParams:
-    """All weights, as (out, in) matrices in row-major order.
+def param_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every weight array, in the order they sit in ``flat``."""
+    s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
+    shapes = {"emb_w": (d, s), "emb_b": (d,)}
+    for gate in GATES:
+        shapes.update({f"wx_{gate}": (d, d), f"wh_{gate}": (d, d), f"b_{gate}": (d,)})
+    shapes.update(mlp1_w=(h, d + m), mlp1_b=(h,), mlp2_w=(h, h), mlp2_b=(h,),
+                  out_w=(h,), out_b=(1,))
+    return shapes
 
-    emb: S -> d affine. Per LSTM gate k in (i, f, g, o): input map wx_k,
-    recurrent map wh_k, bias b_k. MLP: (d+M) -> H -> H -> 1.
+
+class ModelParams:
+    """All weights in one contiguous 1-D vector ``flat``.
+
+    Every named weight (see ``param_shapes``) is an attribute holding a
+    reshaped view into ``flat``, with matrices as (out, in) in row-major
+    order. emb: S -> d affine. Per LSTM gate k in (i, f, g, o): input map
+    wx_k, recurrent map wh_k, bias b_k. MLP: (d+M) -> H -> H -> 1.
     """
 
-    cfg: ArchConfig
-    emb_w: np.ndarray
-    emb_b: np.ndarray
-    wx_i: np.ndarray
-    wh_i: np.ndarray
-    b_i: np.ndarray
-    wx_f: np.ndarray
-    wh_f: np.ndarray
-    b_f: np.ndarray
-    wx_g: np.ndarray
-    wh_g: np.ndarray
-    b_g: np.ndarray
-    wx_o: np.ndarray
-    wh_o: np.ndarray
-    b_o: np.ndarray
-    mlp1_w: np.ndarray
-    mlp1_b: np.ndarray
-    mlp2_w: np.ndarray
-    mlp2_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
+    def __init__(self, cfg: ArchConfig, flat: np.ndarray):
+        shapes = param_shapes(cfg)
+        self.cfg, self.flat, self.names = cfg, flat, tuple(shapes)
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            setattr(self, name, flat[offset:offset + size].reshape(shape))
+            offset += size
+        if flat.shape != (offset,):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit {cfg}")
 
     @property
     def dtype(self) -> np.dtype:
-        return self.emb_w.dtype
+        return self.flat.dtype
 
     def arrays(self):
-        """Yield (name, array) in a fixed order."""
-        for f in fields(self):
-            if f.name != "cfg":
-                yield f.name, getattr(self, f.name)
+        """Yield (name, view) in the order of ``flat``."""
+        for name in self.names:
+            yield name, getattr(self, name)
 
     def copy(self) -> "ModelParams":
-        return replace(self, **{name: arr.copy() for name, arr in self.arrays()})
+        return ModelParams(self.cfg, self.flat.copy())
 
     def size(self) -> int:
-        return sum(arr.size for _, arr in self.arrays())
+        return self.flat.size
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return replace(params, **{name: np.zeros_like(arr) for name, arr in params.arrays()})
+    return ModelParams(params.cfg, np.zeros_like(params.flat))
 
 
 def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -119,29 +120,12 @@ def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
     Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
-    s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
-
-    def uniform(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        return rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(dtype)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dtype)
-
-    kwargs = {"emb_w": uniform(d, s), "emb_b": zeros(d)}
-    for gate in GATES:
-        kwargs[f"wx_{gate}"] = uniform(d, d)
-        kwargs[f"wh_{gate}"] = uniform(d, d)
-        kwargs[f"b_{gate}"] = zeros(d)
-    kwargs["b_f"] = np.ones(d, dtype=dtype)
-    kwargs["mlp1_w"] = uniform(h, d + m)
-    kwargs["mlp1_b"] = zeros(h)
-    kwargs["mlp2_w"] = uniform(h, h)
-    kwargs["mlp2_b"] = zeros(h)
-    kwargs["out_w"] = uniform(1, h)[0]
-    kwargs["out_b"] = zeros(1)
-    params = ModelParams(cfg=cfg, **kwargs)
-    assert params.size() == param_count(cfg)
+    params = ModelParams(cfg, np.zeros(param_count(cfg), dtype=dtype))
+    for name, arr in params.arrays():
+        if not (name.startswith("b_") or name.endswith("_b")):
+            bound = 1.0 / np.sqrt(arr.shape[-1])
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    params.b_f[...] = 1.0
     return params
 
 
@@ -179,8 +163,8 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     p, cfg = params, params.cfg
     steps = np.asarray(steps, dtype=p.dtype)
     meas = np.asarray(meas, dtype=p.dtype)
-    if steps.ndim != 3 or steps.shape[2] != cfg.sensor_dim:
-        raise ValueError(f"steps must be (B, n, {cfg.sensor_dim}), got {steps.shape}")
+    if steps.ndim != 3 or steps.shape[1] < 1 or steps.shape[2] != cfg.sensor_dim:
+        raise ValueError(f"steps must be (B, n >= 1, {cfg.sensor_dim}), got {steps.shape}")
     if meas.ndim != 2 or meas.shape[1] != cfg.meas_dim or meas.shape[0] != steps.shape[0]:
         raise ValueError(f"meas must be ({steps.shape[0]}, {cfg.meas_dim}), got {meas.shape}")
     batch, n_steps = steps.shape[0], steps.shape[1]
@@ -221,34 +205,48 @@ def forward(params: ModelParams, steps: np.ndarray, meas: np.ndarray):
     return float(preds[0]), trace
 
 
-def backward_batch(params: ModelParams, trace: ForwardTrace,
-                   upstream: np.ndarray) -> ModelParams:
+def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarray,
+                   out: ModelParams | None = None) -> ModelParams:
     """Reverse-mode gradients of sum_b upstream[b] * prediction[b].
 
-    Returns a gradient with the same structure as ModelParams. The caller
-    folds loss derivatives and any 1/batch factor into ``upstream``.
+    Returns a gradient with the same structure as ModelParams, written into
+    ``out`` when given (its old contents are overwritten, never read). The
+    caller folds loss derivatives and any 1/batch factor into ``upstream``.
     """
-    p = params
-    grads = zeros_like_params(params)
+    p, cfg = params, params.cfg
+    grads = ModelParams(cfg, np.empty_like(p.flat)) if out is None else out
     dy = np.asarray(upstream, dtype=p.dtype)
+    d = cfg.d
+    scratch = {shape: np.empty(shape, dtype=p.dtype)
+               for shape in {(d, d), (d,), (d, cfg.sensor_dim)}}
+
+    def accumulate(view, first, a, b=None):
+        """view = a @ b (or a's column sums), added via scratch after the first time."""
+        dest = view if first else scratch[view.shape]
+        if b is None:
+            np.sum(a, axis=0, out=dest)
+        else:
+            np.matmul(a, b, out=dest)
+        if not first:
+            view += dest
 
     # MLP head
     grads.out_b[0] = dy.sum()
-    grads.out_w += trace.z2.T @ dy
+    np.matmul(trace.z2.T, dy, out=grads.out_w)
     dz2 = dy[:, None] * p.out_w[None, :]
     dpre2 = dz2 * (trace.z2 > 0)
-    grads.mlp2_w += dpre2.T @ trace.z1
-    grads.mlp2_b += dpre2.sum(axis=0)
+    np.matmul(dpre2.T, trace.z1, out=grads.mlp2_w)
+    np.sum(dpre2, axis=0, out=grads.mlp2_b)
     dz1 = dpre2 @ p.mlp2_w
     dpre1 = dz1 * (trace.z1 > 0)
-    grads.mlp1_w += dpre1.T @ trace.z0
-    grads.mlp1_b += dpre1.sum(axis=0)
+    np.matmul(dpre1.T, trace.z0, out=grads.mlp1_w)
+    np.sum(dpre1, axis=0, out=grads.mlp1_b)
     dz0 = dpre1 @ p.mlp1_w
 
-    d = p.cfg.d
     dc = dz0[:, :d].copy()  # prediction consumes c_n; h_n is unused
     dh = np.zeros_like(dc)
     for t in range(trace.n_steps - 1, -1, -1):
+        first = t == trace.n_steps - 1
         gates = trace.gates[t]
         i, f, g, o = gates["i"], gates["f"], gates["g"], gates["o"]
         c_prev, h_prev = trace.c[t], trace.h[t]
@@ -260,20 +258,16 @@ def backward_batch(params: ModelParams, trace: ForwardTrace,
         da_g = dc * i * (1.0 - g * g)
         da_f = dc * c_prev * f * (1.0 - f)
 
-        x = trace.x[t]
-        dx = np.zeros_like(x)
         for gate, da in zip(GATES, (da_i, da_f, da_g, da_o)):
-            wx = getattr(p, f"wx_{gate}")
-            wh = getattr(p, f"wh_{gate}")
-            getattr(grads, f"wx_{gate}")[...] += da.T @ x
-            getattr(grads, f"wh_{gate}")[...] += da.T @ h_prev
-            getattr(grads, f"b_{gate}")[...] += da.sum(axis=0)
-            dx += da @ wx
+            accumulate(getattr(grads, f"wx_{gate}"), first, da.T, trace.x[t])
+            accumulate(getattr(grads, f"wh_{gate}"), first, da.T, h_prev)
+            accumulate(getattr(grads, f"b_{gate}"), first, da)
+        dx = da_i @ p.wx_i + da_f @ p.wx_f + da_g @ p.wx_g + da_o @ p.wx_o
         dh = da_i @ p.wh_i + da_f @ p.wh_f + da_g @ p.wh_g + da_o @ p.wh_o
         dc = dc * f
 
-        grads.emb_w += dx.T @ trace.steps[:, t, :]
-        grads.emb_b += dx.sum(axis=0)
+        accumulate(grads.emb_w, first, dx.T, trace.steps[:, t, :])
+        accumulate(grads.emb_b, first, dx)
     return grads
 
 
@@ -286,29 +280,28 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: float) -> Model
 # metadata entry (architecture, loss type, preprocessing manifest hash, ...).
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
-    cfg = params.cfg
-    header = dict(meta)
-    header["arch"] = {
-        "sensor_dim": cfg.sensor_dim,
-        "meas_dim": cfg.meas_dim,
-        "d": cfg.d,
-        "mlp_hidden": cfg.mlp_hidden,
-        "mlp_layers": cfg.mlp_layers,
-    }
-    header["dtype"] = np.dtype(params.dtype).name
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in params.arrays()}
+    header = dict(meta, arch=asdict(params.cfg), dtype=np.dtype(params.dtype).name)
     with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(header, sort_keys=True)), **arrays)
+        np.savez(fh, __meta__=np.array(json.dumps(header, sort_keys=True)),
+                 **dict(params.arrays()))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint; every array must have exactly its ArchConfig shape."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"]))
-        arch = meta.pop("arch")
-        dtype = np.dtype(meta.pop("dtype"))
-        cfg = ArchConfig(**arch)
-        kwargs = {}
-        for f in fields(ModelParams):
-            if f.name != "cfg":
-                kwargs[f.name] = data[f.name].astype(dtype)
-    return ModelParams(cfg=cfg, **kwargs), meta
+        cfg = ArchConfig(**meta.pop("arch"))
+        params = ModelParams(cfg, np.empty(param_count(cfg), dtype=np.dtype(meta.pop("dtype"))))
+        problems = [f"unexpected array {name!r}" for name in data.files
+                    if name not in params.names + ("__meta__",)]
+        for name, view in params.arrays():
+            stored = data[name] if name in data.files else None
+            if stored is not None and stored.shape == view.shape:
+                view[...] = stored
+            else:
+                problems.append(f"missing array {name!r}" if stored is None else
+                                f"array {name!r} has shape {stored.shape}, expected {view.shape}")
+    if problems:
+        raise ValueError(f"checkpoint {path} does not match its architecture: "
+                         + "; ".join(problems))
+    return params, meta

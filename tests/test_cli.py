@@ -111,6 +111,24 @@ class TestPreprocess:
         assert sum(manifest["bucket_sizes"]["reg_val"].values()) > 0
         assert sum(manifest["bucket_sizes"]["reg_test"].values()) > 0
 
+    def test_duplicate_rows_counted(self, tmp_path, capsys):
+        # a dataset without duplicates, then 3 sensor rows and 2 metrology
+        # rows repeated verbatim (one of them twice)
+        cfg = write_config(tmp_path, "[synth]\nn_wafers = 20\nseed = 4\n"
+                                     "duplicate_row_rate = 0\n")
+        data = tmp_path / "d"
+        assert run_cli("generate", "--config", cfg, "--out", data) == 0
+        for name, picks in (("sensor.csv", [1, 5, 9]), ("metrology.csv", [2, 2])):
+            lines = (data / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (data / name).write_text("".join(lines + [lines[k] for k in picks]),
+                                     encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("preprocess", "--config", cfg, "--data", data,
+                       "--out", tmp_path / "f") == 0
+        assert "duplicate rows dropped: 3 sensor, 2 metrology" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert manifest["duplicate_rows_dropped"] == {"sensor": 3, "metrology": 2}
+
     def test_manifest_records_widths_and_vocab(self, tiny_run):
         manifest = json.loads((tiny_run["features"] / "manifest.json").read_text())
         assert manifest["s_width"] > 0 and manifest["m_width"] > 0

@@ -71,6 +71,27 @@ class TestInit:
             ArchConfig(0, 3, 4, 5)
 
 
+class TestFlatLayout:
+    def test_named_views_share_memory_with_flat(self):
+        params = init_params(TINY, seed=0)
+        assert params.flat.ndim == 1 and params.flat.size == param_count(TINY)
+        for _, arr in params.arrays():
+            assert np.shares_memory(arr, params.flat)
+        params.flat[:] = 2.0
+        assert np.all(params.mlp2_w == 2.0)
+        params.out_b[0] = 5.0
+        assert params.flat[-1] == 5.0
+
+    def test_copy_is_deep(self):
+        params = init_params(TINY, seed=0)
+        clone = params.copy()
+        assert not np.shares_memory(clone.flat, params.flat)
+        assert np.array_equal(clone.flat, params.flat)
+        clone.emb_w[...] = 7.0
+        assert not np.any(params.emb_w == 7.0)
+        assert np.shares_memory(clone.emb_w, clone.flat)
+
+
 class TestForward:
     def test_zero_params_predict_zero(self):
         params = zeros_like_params(init_params(TINY, seed=0, dtype=np.float64))
@@ -184,6 +205,18 @@ class TestBackward:
         for name, arr in batched.arrays():
             assert np.allclose(arr, getattr(summed, name), atol=1e-12)
 
+    def test_reused_out_buffer_equals_fresh_allocation(self):
+        params = tiny_params(4, dtype=np.float32)
+        rng = np.random.default_rng(5)
+        buf = zeros_like_params(params)
+        buf.flat[:] = np.nan  # never read, only overwritten
+        for n in (3, 2):
+            _, trace = forward_batch(params, rng.normal(size=(5, n, 6)),
+                                     rng.normal(size=(5, 3)))
+            upstream = rng.normal(size=5)
+            assert backward_batch(params, trace, upstream, out=buf) is buf
+            assert np.array_equal(buf.flat, backward_batch(params, trace, upstream).flat)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -197,3 +230,23 @@ class TestCheckpoint:
         assert loaded.dtype == np.float32
         for (_, a), (_, b) in zip(params.arrays(), loaded.arrays()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda arrays: arrays.pop("wh_g"), "missing array 'wh_g'"),
+        (lambda arrays: arrays.update(stray=np.zeros(3, np.float32)),
+         "unexpected array 'stray'"),
+        (lambda arrays: arrays.update(mlp1_b=np.zeros(1, np.float32)),
+         r"array 'mlp1_b' has shape \(1,\), expected \(5,\)"),
+        (lambda arrays: arrays.update(emb_w=arrays["emb_w"].T.copy()),
+         r"array 'emb_w' has shape \(6, 4\), expected \(4, 6\)"),
+    ])
+    def test_wrong_arrays_rejected_by_name(self, tmp_path, change, message):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_params(TINY, seed=5), {"loss": "re"})
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        change(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)

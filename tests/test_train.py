@@ -6,9 +6,11 @@ from wafersense.nn import ArchConfig, init_params, zeros_like_params
 from wafersense.normgroups import NormalizationGroup
 from wafersense.preprocess import Bucket
 from wafersense.train import (
+    ADAM_BLOCK,
     AdamState,
     EarlyStopper,
     EpochStats,
+    FLUSH_EVERY,
     Nl1LossFn,
     RELossConfig,
     ReLossFn,
@@ -129,11 +131,65 @@ class TestAdam:
     def test_moments_decay(self):
         params = init_params(TINY_ARCH, seed=0, dtype=np.float64)
         state = init_adam_state(params)
-        state.m["emb_w"][:] = 1.0
-        state.v["emb_w"][:] = 1.0
+        assert params.names[0] == "emb_w"  # so emb_w leads the flat moments
+        emb_w = slice(0, params.emb_w.size)
+        state.m[emb_w] = 1.0
+        state.v[emb_w] = 1.0
         adam_step(params, zeros_like_params(params), state, t=1, cfg=TrainConfig())
-        assert np.allclose(state.m["emb_w"], 0.9)
-        assert np.allclose(state.v["emb_w"], 0.999)
+        assert np.allclose(state.m[emb_w], 0.9)
+        assert np.allclose(state.v[emb_w], 0.999)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_step_equals_per_array_formula(self, dtype):
+        # several blocks plus a ragged tail, checked bit for bit against the
+        # per-array update written out in full
+        params = init_params(ArchConfig(sensor_dim=7, meas_dim=3, d=100, mlp_hidden=300),
+                             seed=0, dtype=dtype)
+        assert params.size() > 2 * ADAM_BLOCK and params.size() % ADAM_BLOCK
+        cfg = TrainConfig(learning_rate=1e-3)
+        ref = {name: arr.copy() for name, arr in params.arrays()}
+        ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        state = init_adam_state(params)
+        grads = zeros_like_params(params)
+        rng = np.random.default_rng(0)
+        for t in range(1, 6):
+            grads.flat[:] = rng.normal(0.0, 1e-3, size=grads.size())
+            grads.flat[rng.random(grads.size()) < 0.1] = 0.0
+            adam_step(params, grads, state, t=t, cfg=cfg)
+            b1, b2 = cfg.beta1, cfg.beta2
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for name, arr in ref.items():
+                g, m, v = getattr(grads, name), ref_m[name], ref_v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            for name, arr in params.arrays():
+                assert arr.dtype == dtype
+                assert np.array_equal(arr, ref[name]), (t, name)
+            assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m.values()]))
+            assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v.values()]))
+
+    def test_subnormal_moments_flushed_every_flush_steps(self):
+        params = init_params(TINY_ARCH, seed=0)
+        grads = zeros_like_params(params)
+        tiny = np.finfo(np.float32).tiny
+        # after one decay the first four are subnormal, the rest normal
+        values = np.array([tiny / 4, -tiny / 4, tiny, -tiny, 2 * tiny, 1e-30, 0.9], np.float32)
+        for t in (FLUSH_EVERY - 1, FLUSH_EVERY):
+            state = init_adam_state(params)
+            state.m[: len(values)] = values
+            state.v[-len(values):] = np.abs(values)
+            adam_step(params, grads, state, t=t, cfg=TrainConfig())
+            m, v = values * np.float32(0.9), np.abs(values) * np.float32(0.999)
+            if t == FLUSH_EVERY:
+                m[np.abs(m) < tiny] = 0.0
+                v[np.abs(v) < tiny] = 0.0
+            assert np.array_equal(state.m[: len(values)], m)
+            assert np.array_equal(state.v[-len(values):], v)
+            assert np.count_nonzero(state.m[: len(values)] == 0) == (4 if t == FLUSH_EVERY else 0)
 
     def test_constant_gradient_step_size_approaches_lr(self):
         # Adam is scale invariant: with a constant gradient the per-coordinate
