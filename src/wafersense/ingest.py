@@ -16,6 +16,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from datetime import datetime
+from math import isfinite
 
 import numpy as np
 
@@ -83,12 +84,16 @@ def dedupe(table: RawTable) -> RawTable:
 
 
 def _parse_float(cell: str | None, context: str) -> float | None:
+    """A finite float, or None for a missing cell; inf and nan are rejected."""
     if cell is None:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise IngestError(f"{context}: not a number: {cell!r}") from None
+    if not isfinite(value):
+        raise IngestError(f"{context}: not a finite number: {cell!r}")
+    return value
 
 
 def parse_sensor_table(

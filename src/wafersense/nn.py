@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-GATES = ("i", "f", "g", "o")
+GATES = ("i", "f", "g", "o")      # order of the per-gate names and checkpoint arrays
+FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def param_count(cfg: ArchConfig) -> int:
 
 
 def param_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every weight array, in the order they sit in ``flat``."""
+    """Name -> shape of every named weight, in checkpoint (and ``names``) order."""
     s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
     shapes = {"emb_w": (d, s), "emb_b": (d,)}
     for gate in GATES:
@@ -76,29 +77,38 @@ def param_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
 class ModelParams:
     """All weights in one contiguous 1-D vector ``flat``.
 
-    Every named weight (see ``param_shapes``) is an attribute holding a
-    reshaped view into ``flat``, with matrices as (out, in) in row-major
-    order. emb: S -> d affine. Per LSTM gate k in (i, f, g, o): input map
-    wx_k, recurrent map wh_k, bias b_k. MLP: (d+M) -> H -> H -> 1.
+    ``flat`` holds, in order: emb_w (d, S), emb_b (d,), the fused LSTM
+    blocks wx (4d, d), wh (4d, d) and b (4d,), then the MLP (d+M) -> H ->
+    H -> 1. Matrices are (out, in) in row-major order, and each fused block
+    stacks the gates in ``FUSED_GATES`` order, so the three sigmoid gates
+    are adjacent. Every named weight of ``param_shapes`` (wx_i, b_f, ...) is
+    an attribute holding a view into ``flat``.
     """
 
     def __init__(self, cfg: ArchConfig, flat: np.ndarray):
-        shapes = param_shapes(cfg)
+        shapes, d = param_shapes(cfg), cfg.d
+        blocks = {"emb_w": shapes["emb_w"], "emb_b": shapes["emb_b"],
+                  "wx": (4 * d, d), "wh": (4 * d, d), "b": (4 * d,)}
+        blocks.update((name, shape) for name, shape in shapes.items()
+                      if name.startswith(("mlp", "out")))
         self.cfg, self.flat, self.names = cfg, flat, tuple(shapes)
         offset = 0
-        for name, shape in shapes.items():
+        for name, shape in blocks.items():
             size = math.prod(shape)
             setattr(self, name, flat[offset:offset + size].reshape(shape))
             offset += size
         if flat.shape != (offset,):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {cfg}")
+        for k, gate in enumerate(FUSED_GATES):
+            for block in ("wx", "wh", "b"):
+                setattr(self, f"{block}_{gate}", getattr(self, block)[k * d:(k + 1) * d])
 
     @property
     def dtype(self) -> np.dtype:
         return self.flat.dtype
 
     def arrays(self):
-        """Yield (name, view) in the order of ``flat``."""
+        """Yield (name, view) for every named weight, in ``names`` order."""
         for name in self.names:
             yield name, getattr(self, name)
 
@@ -129,28 +139,19 @@ def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh formulation avoids exp overflow at any dtype
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 @dataclass
 class ForwardTrace:
-    """Intermediate activations retained for the backward pass."""
+    """Intermediate activations retained for the backward pass, time-major."""
 
-    steps: np.ndarray            # (B, n, S)
-    meas: np.ndarray             # (B, M)
-    x: list[np.ndarray]          # embedded inputs per step, (B, d)
-    gates: list[dict[str, np.ndarray]]  # i, f, g, o per step, (B, d)
-    c: list[np.ndarray]          # cell states c_0 .. c_n, (B, d); c[0] is zeros
-    h: list[np.ndarray]          # hidden states h_0 .. h_n, (B, d)
-    z0: np.ndarray               # (B, d + M)
-    z1: np.ndarray               # (B, H) post-ReLU
-    z2: np.ndarray               # (B, H) post-ReLU
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.x)
+    steps: np.ndarray   # (n, B, S) inputs
+    x: np.ndarray       # (n, B, d) embedded inputs
+    gates: np.ndarray   # (n, B, 4d) gate activations, in FUSED_GATES order
+    c: np.ndarray       # (n + 1, B, d) cell states c_0 .. c_n; c[0] is zeros
+    h: np.ndarray       # (n, B, d) hidden states h_0 .. h_{n-1}; h[0] is zeros
+    tanh_c: np.ndarray  # (n, B, d) tanh(c_1) .. tanh(c_n)
+    z0: np.ndarray      # (B, d + M)
+    z1: np.ndarray      # (B, H) post-ReLU
+    z2: np.ndarray      # (B, H) post-ReLU
 
 
 def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
@@ -167,41 +168,48 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
         raise ValueError(f"steps must be (B, n >= 1, {cfg.sensor_dim}), got {steps.shape}")
     if meas.ndim != 2 or meas.shape[1] != cfg.meas_dim or meas.shape[0] != steps.shape[0]:
         raise ValueError(f"meas must be ({steps.shape[0]}, {cfg.meas_dim}), got {meas.shape}")
-    batch, n_steps = steps.shape[0], steps.shape[1]
+    batch, n_steps, d = steps.shape[0], steps.shape[1], cfg.d
 
-    h = np.zeros((batch, cfg.d), dtype=p.dtype)
-    c = np.zeros((batch, cfg.d), dtype=p.dtype)
-    xs, gate_list, cs, hs = [], [], [c], [h]
+    # embedding and input pre-activations of every step, before the recurrence
+    steps = np.ascontiguousarray(steps.transpose(1, 0, 2))
+    x = steps.reshape(n_steps * batch, -1) @ p.emb_w.T
+    x += p.emb_b
+    gates = x @ p.wx.T
+    gates += p.b
+    x, gates = x.reshape(n_steps, batch, d), gates.reshape(n_steps, batch, 4 * d)
+    c = np.zeros((n_steps + 1, batch, d), dtype=p.dtype)
+    h = np.zeros((n_steps, batch, d), dtype=p.dtype)
+    tanh_c = np.empty((n_steps, batch, d), dtype=p.dtype)
+    recurrent = np.empty((batch, 4 * d), dtype=p.dtype)
     for t in range(n_steps):
-        x = steps[:, t, :] @ p.emb_w.T + p.emb_b
-        i = _sigmoid(x @ p.wx_i.T + h @ p.wh_i.T + p.b_i)
-        f = _sigmoid(x @ p.wx_f.T + h @ p.wh_f.T + p.b_f)
-        g = np.tanh(x @ p.wx_g.T + h @ p.wh_g.T + p.b_g)
-        o = _sigmoid(x @ p.wx_o.T + h @ p.wh_o.T + p.b_o)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        xs.append(x)
-        gate_list.append({"i": i, "f": f, "g": g, "o": o})
-        cs.append(c)
-        hs.append(h)
+        a = gates[t]
+        if t:  # h_0 = 0
+            a += np.matmul(h[t], p.wh.T, out=recurrent)
+        sig = a[:, :3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
+        np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
+        sig += 1.0
+        sig *= 0.5
+        np.tanh(a[:, 3 * d:], out=a[:, 3 * d:])
+        i, f, o, g = (a[:, k * d:(k + 1) * d] for k in range(4))
+        np.multiply(f, c[t], out=c[t + 1])
+        c[t + 1] += i * g
+        np.tanh(c[t + 1], out=tanh_c[t])
+        if t + 1 < n_steps:  # h_n is unused
+            np.multiply(o, tanh_c[t], out=h[t + 1])
 
-    z0 = np.concatenate([c, meas], axis=1)  # encoded vector is the last cell state
+    z0 = np.concatenate([c[n_steps], meas], axis=1)  # encoded vector is the last cell state
     z1 = np.maximum(z0 @ p.mlp1_w.T + p.mlp1_b, 0.0)
     z2 = np.maximum(z1 @ p.mlp2_w.T + p.mlp2_b, 0.0)
     preds = z2 @ p.out_w + p.out_b[0]
 
-    trace = None
-    if want_trace:
-        trace = ForwardTrace(steps=steps, meas=meas, x=xs, gates=gate_list,
-                             c=cs, h=hs, z0=z0, z1=z1, z2=z2)
+    trace = ForwardTrace(steps=steps, x=x, gates=gates, c=c, h=h, tanh_c=tanh_c,
+                         z0=z0, z1=z1, z2=z2) if want_trace else None
     return preds, trace
 
 
 def forward(params: ModelParams, steps: np.ndarray, meas: np.ndarray):
     """Single-sample forward: steps (n, S), meas (M,). Returns (float, trace)."""
-    steps = np.asarray(steps)
-    meas = np.asarray(meas)
-    preds, trace = forward_batch(params, steps[None, :, :], meas[None, :])
+    preds, trace = forward_batch(params, np.asarray(steps)[None], np.asarray(meas)[None])
     return float(preds[0]), trace
 
 
@@ -216,19 +224,7 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarra
     p, cfg = params, params.cfg
     grads = ModelParams(cfg, np.empty_like(p.flat)) if out is None else out
     dy = np.asarray(upstream, dtype=p.dtype)
-    d = cfg.d
-    scratch = {shape: np.empty(shape, dtype=p.dtype)
-               for shape in {(d, d), (d,), (d, cfg.sensor_dim)}}
-
-    def accumulate(view, first, a, b=None):
-        """view = a @ b (or a's column sums), added via scratch after the first time."""
-        dest = view if first else scratch[view.shape]
-        if b is None:
-            np.sum(a, axis=0, out=dest)
-        else:
-            np.matmul(a, b, out=dest)
-        if not first:
-            view += dest
+    d, (n_steps, batch, _) = cfg.d, trace.gates.shape
 
     # MLP head
     grads.out_b[0] = dy.sum()
@@ -243,31 +239,34 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarra
     np.sum(dpre1, axis=0, out=grads.mlp1_b)
     dz0 = dpre1 @ p.mlp1_w
 
+    # LSTM: gate pre-activation gradients of every step, gathered in da_all
+    da_all = np.empty_like(trace.gates)
     dc = dz0[:, :d].copy()  # prediction consumes c_n; h_n is unused
     dh = np.zeros_like(dc)
-    for t in range(trace.n_steps - 1, -1, -1):
-        first = t == trace.n_steps - 1
-        gates = trace.gates[t]
-        i, f, g, o = gates["i"], gates["f"], gates["g"], gates["o"]
-        c_prev, h_prev = trace.c[t], trace.h[t]
-        tanh_c = np.tanh(trace.c[t + 1])
+    for t in range(n_steps - 1, -1, -1):
+        a, da = trace.gates[t], da_all[t]
+        i, f, o, g = (a[:, k * d:(k + 1) * d] for k in range(4))
+        da_i, da_f, da_o, da_g = (da[:, k * d:(k + 1) * d] for k in range(4))
+        np.multiply(dh, trace.tanh_c[t], out=da_o)
+        dc += dh * o * (1.0 - trace.tanh_c[t] * trace.tanh_c[t])
+        np.multiply(dc, g, out=da_i)
+        np.multiply(dc, trace.c[t], out=da_f)
+        sig = a[:, :3 * d]
+        da[:, :3 * d] *= sig * (1.0 - sig)
+        np.multiply(dc, i, out=da_g)
+        da_g *= 1.0 - g * g
+        if t:
+            dh = da @ p.wh
+            dc *= f
 
-        da_o = dh * tanh_c * o * (1.0 - o)
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        da_i = dc * g * i * (1.0 - i)
-        da_g = dc * i * (1.0 - g * g)
-        da_f = dc * c_prev * f * (1.0 - f)
-
-        for gate, da in zip(GATES, (da_i, da_f, da_g, da_o)):
-            accumulate(getattr(grads, f"wx_{gate}"), first, da.T, trace.x[t])
-            accumulate(getattr(grads, f"wh_{gate}"), first, da.T, h_prev)
-            accumulate(getattr(grads, f"b_{gate}"), first, da)
-        dx = da_i @ p.wx_i + da_f @ p.wx_f + da_g @ p.wx_g + da_o @ p.wx_o
-        dh = da_i @ p.wh_i + da_f @ p.wh_f + da_g @ p.wh_g + da_o @ p.wh_o
-        dc = dc * f
-
-        accumulate(grads.emb_w, first, dx.T, trace.steps[:, t, :])
-        accumulate(grads.emb_b, first, dx)
+    rows = n_steps * batch
+    da_all = da_all.reshape(rows, 4 * d)
+    np.matmul(da_all.T, trace.x.reshape(rows, d), out=grads.wx)
+    np.matmul(da_all[batch:].T, trace.h.reshape(rows, d)[batch:], out=grads.wh)  # h_0 = 0
+    np.sum(da_all, axis=0, out=grads.b)
+    dx = da_all @ p.wx
+    np.matmul(dx.T, trace.steps.reshape(rows, -1), out=grads.emb_w)
+    np.sum(dx, axis=0, out=grads.emb_b)
     return grads
 
 

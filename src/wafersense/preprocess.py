@@ -460,9 +460,22 @@ def load_bucket(path: Path) -> Bucket:
 
 
 def load_split(features_dir: Path, stream: str, split: str) -> list[Bucket]:
-    paths = Path(features_dir).glob(f"{stream}_{split}_n*.npz")
-    buckets = [load_bucket(p) for p in paths]
-    return sorted(buckets, key=lambda b: b.n_steps)
+    """The buckets that manifest.json lists for (stream, split), by n_steps.
+
+    Other bucket files in the directory are ignored. A listed file that is
+    missing raises FileNotFoundError, one with another row count
+    PreprocessError.
+    """
+    sizes = read_manifest(features_dir)[0]["bucket_sizes"].get(f"{stream}_{split}", {})
+    buckets = []
+    for n in sorted(sizes, key=int):
+        path = Path(features_dir) / bucket_filename(stream, split, int(n))
+        bucket = load_bucket(path)
+        if (bucket.n_steps, len(bucket)) != (int(n), sizes[n]):
+            raise PreprocessError(f"{path} holds {len(bucket)} rows of {bucket.n_steps} steps, "
+                                  f"manifest.json lists {sizes[n]} rows of {n}")
+        buckets.append(bucket)
+    return buckets
 
 
 def write_manifest(features_dir: Path, pipeline: FeaturePipeline,
@@ -472,7 +485,7 @@ def write_manifest(features_dir: Path, pipeline: FeaturePipeline,
     manifest["bucket_sizes"] = bucket_sizes
     manifest.update(extra)
     path = Path(features_dir) / "manifest.json"
-    blob = json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
+    blob = json.dumps(manifest, sort_keys=True, indent=1, allow_nan=False).encode("utf-8")
     path.write_bytes(blob)
     return hashlib.sha256(blob).hexdigest()
 

@@ -151,9 +151,11 @@ def make_train_buckets(
 # Elements per block of the Adam update: a block's operands and the two
 # scratch rows stay in cache (64k measured fastest of 4k to 256k).
 ADAM_BLOCK = 65_536
-# Every this many steps, moments below the smallest normal float are zeroed:
-# those of weights whose gradient stays zero decay into subnormals, which slow
-# every step, and their updates are far below one ulp of any weight.
+# Every this many steps, second moments below the smallest normal float and
+# first moments below it divided by the learning rate are zeroed: those of
+# weights whose gradient stays zero decay towards subnormals, and a subnormal
+# moment or update product slows every step. Such an update is below ~1e-30,
+# far below one ulp of any weight.
 FLUSH_EVERY = 32
 
 
@@ -191,8 +193,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
         x += cfg.eps
         p -= np.divide(y, x, out=y)
         if flush:
-            for moment in (m, v):
-                moment[np.abs(moment, out=x) < tiny] = 0.0
+            m[np.abs(m, out=x) < tiny / cfg.learning_rate] = 0.0
+            v[np.abs(v, out=x) < tiny] = 0.0
     return params, state
 
 

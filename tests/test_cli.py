@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wafersense import cli
+import wafersense
+from wafersense import cli, preprocess
 from wafersense.cli import ConfigError, RunConfig, _parse_filter
 
 from conftest import run_cli, write_config
@@ -129,6 +135,18 @@ class TestPreprocess:
         manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
         assert manifest["duplicate_rows_dropped"] == {"sensor": 3, "metrology": 2}
 
+    def test_listed_bucket_missing_or_resized_is_an_error(self, tiny_run, tmp_path):
+        features = tmp_path / "features"
+        shutil.copytree(tiny_run["features"], features)
+        listed = sorted(features.glob("reg_train_n*.npz"))
+        assert len(listed) >= 2
+        shutil.copy(listed[1], listed[0])  # another bucket's rows under n1's name
+        with pytest.raises(preprocess.PreprocessError, match="rows"):
+            preprocess.load_split(features, "reg", "train")
+        listed[0].unlink()
+        with pytest.raises(FileNotFoundError):
+            preprocess.load_split(features, "reg", "train")
+
     def test_manifest_records_widths_and_vocab(self, tiny_run):
         manifest = json.loads((tiny_run["features"] / "manifest.json").read_text())
         assert manifest["s_width"] > 0 and manifest["m_width"] > 0
@@ -144,6 +162,40 @@ class TestTrain:
         rows = list(csv.DictReader(open(history)))
         assert len(rows) == 3  # max_epochs in the tiny config
         assert {r["is_best"] for r in rows} <= {"0", "1"}
+
+    def test_stale_bucket_files_ignored(self, tmp_path, capsys):
+        # a 1-5-step dataset, then a 1-2-step one preprocessed into the same
+        # directory: the old reg_train_n5.npz stays, and training must not see it
+        features = tmp_path / "f"
+        for name, weights in (("d5", "1:0.2,2:0.2,3:0.2,4:0.2,5:0.2"), ("d2", "1:0.5,2:0.5")):
+            cfg = write_config(tmp_path, f"[synth]\nn_wafers = 80\nseed = 5\n"
+                                         f"step_weights = {weights}\n[train]\nmax_epochs = 1\n")
+            assert run_cli("generate", "--config", cfg, "--out", tmp_path / name) == 0
+            assert run_cli("preprocess", "--config", cfg, "--data", tmp_path / name,
+                           "--out", features) == 0
+        sizes = json.loads((features / "manifest.json").read_text())["bucket_sizes"]["reg_train"]
+        assert set(sizes) == {"1", "2"} and (features / "reg_train_n5.npz").exists()
+        assert [len(b) for b in preprocess.load_split(features, "reg", "train")] == [
+            sizes["1"], sizes["2"]]
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--features", features,
+                       "--out", tmp_path / "model.npz") == 0
+        assert f"on {sizes['1'] + sizes['2']} samples" in capsys.readouterr().err
+
+    def test_one_and_two_blas_threads_give_identical_files(self, tiny_run, tmp_path):
+        src = str(Path(wafersense.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}" / "model.npz"
+            out.parent.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "wafersense.cli", "train",
+                            "--config", str(tiny_run["config"]),
+                            "--features", str(tiny_run["features"]), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outputs.append((out.read_bytes(), (out.parent / "model_history.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bogus_loss_is_usage_error(self, tiny_run):
         with pytest.raises(SystemExit) as exc:

@@ -155,6 +155,20 @@ class TestSensorParsing:
         assert wafer_steps[0].categorical_readings == ("B",)
         assert ingest.sensor_numeric_columns(table, ["cat"]) == ["s0", "s1"]
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "NaN"])
+    def test_non_finite_sensor_cell_names_its_column(self, tmp_path, cell):
+        text = ("processing_id,product_id,timestamp,s0,s1\n"
+                f"P1,W1,2022-01-01T00:00:00,1,{cell}\n")
+        with pytest.raises(IngestError, match=f"s1: not a finite number: '{cell}'"):
+            ingest.parse_sensor_table(load_table(write(tmp_path, text)), categorical_columns=[])
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_measurement_rejected(self, tmp_path, cell):
+        rows = [f"P1,W1,KQI-1,T,S,E,R,{cell},PASS,NONE,,"]
+        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
+        with pytest.raises(IngestError, match="meas_med: not a finite number"):
+            ingest.parse_metrology_table(table)
+
     def test_assemble_drops_measurementless_wafers(self, tmp_path):
         steps = {
             WaferId("P1", "W1"): [SensorTimeStep(datetime(2022, 1, 1), (1.0,), ())],

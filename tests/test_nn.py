@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wafersense.nn import (
+    FUSED_GATES,
     ArchConfig,
     backward,
     backward_batch,
@@ -250,3 +251,87 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def per_gate_reference(p, steps, meas, upstream):
+    """Predictions and named gradients from the per-gate loops (one matrix
+    product per gate and step) that the fused-gate code replaced."""
+    batch, n = steps.shape[:2]
+    h = np.zeros((batch, p.cfg.d))
+    c = np.zeros_like(h)
+    xs, gates, cs, hs = [], [], [c], [h]
+    for t in range(n):
+        x = steps[:, t, :] @ p.emb_w.T + p.emb_b
+        i = _sigmoid(x @ p.wx_i.T + h @ p.wh_i.T + p.b_i)
+        f = _sigmoid(x @ p.wx_f.T + h @ p.wh_f.T + p.b_f)
+        g = np.tanh(x @ p.wx_g.T + h @ p.wh_g.T + p.b_g)
+        o = _sigmoid(x @ p.wx_o.T + h @ p.wh_o.T + p.b_o)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        xs.append(x)
+        gates.append({"i": i, "f": f, "g": g, "o": o})
+        cs.append(c)
+        hs.append(h)
+    z0 = np.concatenate([c, meas], axis=1)
+    z1 = np.maximum(z0 @ p.mlp1_w.T + p.mlp1_b, 0.0)
+    z2 = np.maximum(z1 @ p.mlp2_w.T + p.mlp2_b, 0.0)
+    preds = z2 @ p.out_w + p.out_b[0]
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.arrays()}
+    grads["out_b"][0] = upstream.sum()
+    grads["out_w"] += z2.T @ upstream
+    dpre2 = upstream[:, None] * p.out_w[None, :] * (z2 > 0)
+    grads["mlp2_w"] += dpre2.T @ z1
+    grads["mlp2_b"] += dpre2.sum(axis=0)
+    dpre1 = (dpre2 @ p.mlp2_w) * (z1 > 0)
+    grads["mlp1_w"] += dpre1.T @ z0
+    grads["mlp1_b"] += dpre1.sum(axis=0)
+    dc = (dpre1 @ p.mlp1_w)[:, :p.cfg.d]
+    dh = np.zeros_like(dc)
+    for t in range(n - 1, -1, -1):
+        i, f, g, o = (gates[t][k] for k in "ifgo")
+        tanh_c = np.tanh(cs[t + 1])
+        da = {"o": dh * tanh_c * o * (1.0 - o)}
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da.update(i=dc * g * i * (1.0 - i), f=dc * cs[t] * f * (1.0 - f),
+                  g=dc * i * (1.0 - g * g))
+        dx = sum(da[k] @ getattr(p, f"wx_{k}") for k in "ifgo")
+        dh = sum(da[k] @ getattr(p, f"wh_{k}") for k in "ifgo")
+        for k in "ifgo":
+            grads[f"wx_{k}"] += da[k].T @ xs[t]
+            grads[f"wh_{k}"] += da[k].T @ hs[t]
+            grads[f"b_{k}"] += da[k].sum(axis=0)
+        dc = dc * f
+        grads["emb_w"] += dx.T @ steps[:, t, :]
+        grads["emb_b"] += dx.sum(axis=0)
+    return preds, grads
+
+
+class TestFusedGates:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_gate_reference(self, n):
+        params = tiny_params(n)
+        rng = np.random.default_rng(20 + n)
+        steps, meas = rng.normal(size=(7, n, 6)), rng.normal(size=(7, 3))
+        upstream = rng.normal(size=7)
+        preds, trace = forward_batch(params, steps, meas)
+        grads = backward_batch(params, trace, upstream)
+        ref_preds, ref_grads = per_gate_reference(params, steps, meas, upstream)
+        assert np.allclose(preds, ref_preds, rtol=1e-10, atol=0.0)
+        for name, arr in grads.arrays():
+            assert np.allclose(arr, ref_grads[name], rtol=1e-10, atol=0.0), name
+
+    def test_fused_blocks_are_views_stacking_the_named_gates(self):
+        params = init_params(TINY, seed=0)
+        d = TINY.d
+        for block in ("wx", "wh", "b"):
+            fused = getattr(params, block)
+            assert fused.shape[0] == 4 * d and fused.flags.c_contiguous
+            assert np.shares_memory(fused, params.flat)
+            for k, gate in enumerate(FUSED_GATES):
+                fused[k * d:(k + 1) * d] = k + 1.0
+                assert np.all(getattr(params, f"{block}_{gate}") == k + 1.0), (block, gate)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wafersense.nn import ArchConfig, init_params, zeros_like_params
+from wafersense.nn import ArchConfig, ModelParams, init_params, zeros_like_params
 from wafersense.normgroups import NormalizationGroup
 from wafersense.preprocess import Bucket
 from wafersense.train import (
@@ -169,15 +169,22 @@ class TestAdam:
             for name, arr in params.arrays():
                 assert arr.dtype == dtype
                 assert np.array_equal(arr, ref[name]), (t, name)
-            assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m.values()]))
-            assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v.values()]))
+            m, v = ModelParams(params.cfg, state.m), ModelParams(params.cfg, state.v)
+            for name in ref:
+                assert np.array_equal(getattr(m, name), ref_m[name]), (t, name)
+                assert np.array_equal(getattr(v, name), ref_v[name]), (t, name)
 
     def test_subnormal_moments_flushed_every_flush_steps(self):
         params = init_params(TINY_ARCH, seed=0)
         grads = zeros_like_params(params)
         tiny = np.finfo(np.float32).tiny
-        # after one decay the first four are subnormal, the rest normal
-        values = np.array([tiny / 4, -tiny / 4, tiny, -tiny, 2 * tiny, 1e-30, 0.9], np.float32)
+        m_floor = tiny / TrainConfig().learning_rate
+        # after one decay the first four are subnormal, the rest normal; as
+        # first moments the next two lie in [tiny, tiny / lr), where lr * m is
+        # subnormal, so they are flushed too
+        values = np.array([tiny / 4, -tiny / 4, tiny, -tiny, 2 * tiny, 1e-35, 1e-30, 0.9],
+                          np.float32)
+        assert tiny < values[5] * np.float32(0.9) < m_floor
         for t in (FLUSH_EVERY - 1, FLUSH_EVERY):
             state = init_adam_state(params)
             state.m[: len(values)] = values
@@ -185,11 +192,12 @@ class TestAdam:
             adam_step(params, grads, state, t=t, cfg=TrainConfig())
             m, v = values * np.float32(0.9), np.abs(values) * np.float32(0.999)
             if t == FLUSH_EVERY:
-                m[np.abs(m) < tiny] = 0.0
+                m[np.abs(m) < m_floor] = 0.0
                 v[np.abs(v) < tiny] = 0.0
             assert np.array_equal(state.m[: len(values)], m)
             assert np.array_equal(state.v[-len(values):], v)
-            assert np.count_nonzero(state.m[: len(values)] == 0) == (4 if t == FLUSH_EVERY else 0)
+            assert np.count_nonzero(state.m[: len(values)] == 0) == (6 if t == FLUSH_EVERY else 0)
+            assert np.count_nonzero(state.v[-len(values):] == 0) == (4 if t == FLUSH_EVERY else 0)
 
     def test_constant_gradient_step_size_approaches_lr(self):
         # Adam is scale invariant: with a constant gradient the per-coordinate
