@@ -189,7 +189,7 @@ class TestTrain:
             out = tmp_path / f"threads{threads}" / "model.npz"
             out.parent.mkdir()
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-m", "wafersense.cli", "train",
                             "--config", str(tiny_run["config"]),
                             "--features", str(tiny_run["features"]), "--out", str(out)],
