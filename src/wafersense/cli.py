@@ -147,15 +147,19 @@ class RunConfig:
 
     def train_config(self, loss_override: str | None = None,
                      seed_override: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            loss=loss_override or self.get("train", "loss", "re"),
-            learning_rate=self.get_float("train", "learning_rate", 1e-4),
-            batch_size=self.get_int("train", "batch_size", 16),
-            patience=self.get_int("train", "patience", 10),
-            max_epochs=self.get_int("train", "max_epochs", 200),
-            seed=seed_override if seed_override is not None else self.get_int("train", "seed", 0),
-            re_c=self.get_float("train", "re_loss_c", 10.0),
-        )
+        try:
+            return TrainConfig(
+                loss=loss_override or self.get("train", "loss", "re"),
+                learning_rate=self.get_float("train", "learning_rate", 1e-4),
+                batch_size=self.get_int("train", "batch_size", 16),
+                patience=self.get_int("train", "patience", 10),
+                max_epochs=self.get_int("train", "max_epochs", 200),
+                seed=seed_override if seed_override is not None
+                else self.get_int("train", "seed", 0),
+                re_c=self.get_float("train", "re_loss_c", 10.0),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[train] {exc}") from None
 
     def arch_preset(self, override: str | None = None) -> str:
         preset = override or self.get("arch", "preset", "small")
@@ -164,10 +168,17 @@ class RunConfig:
         return preset
 
     def f_grid(self, override: str | None = None) -> tuple[float, ...]:
+        """The sweep's f values: a nonempty list, each f in [0, 0.5)."""
         raw = override or self.get("eval", "f_grid")
         if raw is None:
             return ev.DEFAULT_F_GRID
-        return _parse_f_grid(raw)
+        try:
+            grid = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+        except ValueError as exc:
+            raise ConfigError(f"f grid {raw!r}: {exc}") from None
+        if not grid or not all(0.0 <= f < 0.5 for f in grid):
+            raise ConfigError(f"f grid {raw!r}: need one or more f values, each in [0, 0.5)")
+        return grid
 
     def path(self, key: str, override: str | None) -> Path:
         value = override or self.get("paths", key)
@@ -185,10 +196,6 @@ def _parse_step_weights(raw: str) -> dict[int, float]:
         n, _, w = part.partition(":")
         weights[int(n)] = float(w)
     return weights
-
-
-def _parse_f_grid(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v.strip() != "")
 
 
 def _parse_filter(raw: str | None) -> dict[str, str]:
@@ -364,18 +371,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predictions_for_buckets(params, meta, buckets, manifest, groups):
-    """Raw-scale predictions per bucket with a per-sample keep mask."""
-    preds_all, keep_all = [], []
+def _predictions(params, meta, buckets, manifest, groups):
+    """Raw-scale predictions over all buckets, with a per-sample keep mask."""
+    preds, keep = [], []
     for bucket in buckets:
-        preds = ev.predict_bucket(params, bucket, manifest["s_width"], manifest["m_width"])
+        p = ev.predict_bucket(params, bucket, manifest["s_width"], manifest["m_width"])
         if meta["loss"] == "nl1":
-            preds, keep = ev.denormalize_bucket(preds, bucket, groups)
+            p, k = ev.denormalize_bucket(p, bucket, groups)
         else:
-            keep = np.ones(len(preds), dtype=bool)
-        preds_all.append(preds)
-        keep_all.append(keep)
-    return preds_all, keep_all
+            k = np.ones(len(p), dtype=bool)
+        preds.append(p)
+        keep.append(k)
+    return np.concatenate(preds), np.concatenate(keep)
+
+
+def _column(buckets: list[preprocess.Bucket], key: str) -> np.ndarray:
+    return np.concatenate([getattr(bucket, key) for bucket in buckets])
 
 
 def cmd_evaluate(args, sweep_only: bool = False) -> int:
@@ -401,45 +412,28 @@ def cmd_evaluate(args, sweep_only: bool = False) -> int:
         reg_buckets = _apply_filter(preprocess.load_split(features_dir, "reg", "test"), flt)
         if not reg_buckets:
             raise ConfigError("no regression test samples after filtering")
-        preds_all, keep_all = _predictions_for_buckets(params, meta, reg_buckets,
-                                                       manifest, groups)
-        pairs = []
-        dropped = 0
-        for bucket, preds, keep in zip(reg_buckets, preds_all, keep_all):
-            dropped += int(np.sum(~keep))
-            pairs.extend(zip(preds[keep], bucket.target[keep]))
-        if dropped:
-            diagnostics["regression_samples_without_group"] = dropped
-        grouping = ev.grouping_report(pairs)
+        preds, keep = _predictions(params, meta, reg_buckets, manifest, groups)
+        if not keep.all():
+            diagnostics["regression_samples_without_group"] = int(np.sum(~keep))
+        grouping = ev.grouping_report(preds[keep], _column(reg_buckets, "target")[keep])
         ev.write_grouping_csv(out_dir / "grouping.csv", grouping)
 
     pf_buckets = _apply_filter(preprocess.load_split(features_dir, "pf", "test"), flt)
     sweep_rows: list[ev.SweepRow] = []
     if pf_buckets:
-        preds_all, keep_all = _predictions_for_buckets(params, meta, pf_buckets,
-                                                       manifest, groups)
-        y_hat, truth, b1s, b2s = [], [], [], []
-        no_group = no_limits = 0
-        for bucket, preds, keep in zip(pf_buckets, preds_all, keep_all):
-            has_limits = np.isfinite(bucket.lcl) & np.isfinite(bucket.ucl)
-            no_group += int(np.sum(~keep))
-            no_limits += int(np.sum(keep & ~has_limits))
-            use = keep & has_limits
-            y_hat.append(preds[use])
-            b1s.append(bucket.lcl[use])
-            b2s.append(bucket.ucl[use])
-            truth.append(ev.label_fail_arrays(
-                bucket.passfail[use], bucket.inspection[use],
-                bucket.target[use], bucket.lcl[use], bucket.ucl[use]))
-        if no_group:
-            diagnostics["passfail_samples_without_group"] = no_group
-        if no_limits:
-            diagnostics["passfail_samples_without_limits"] = no_limits
-        y_hat = np.concatenate(y_hat) if y_hat else np.array([])
-        if y_hat.size:
-            sweep_rows = ev.recall_fpr_sweep(
-                y_hat, np.concatenate(truth), np.concatenate(b1s),
-                np.concatenate(b2s), f_grid)
+        preds, keep = _predictions(params, meta, pf_buckets, manifest, groups)
+        lcl, ucl = _column(pf_buckets, "lcl"), _column(pf_buckets, "ucl")
+        no_limits = keep & ~(np.isfinite(lcl) & np.isfinite(ucl))
+        if not keep.all():
+            diagnostics["passfail_samples_without_group"] = int(np.sum(~keep))
+        if no_limits.any():
+            diagnostics["passfail_samples_without_limits"] = int(np.sum(no_limits))
+        use = keep & ~no_limits
+        if use.any():
+            truth = ev.label_fail_arrays(
+                _column(pf_buckets, "passfail")[use], _column(pf_buckets, "inspection")[use],
+                _column(pf_buckets, "target")[use], lcl[use], ucl[use])
+            sweep_rows = ev.recall_fpr_sweep(preds[use], truth, lcl[use], ucl[use], f_grid)
             ev.write_sweep_csv(out_dir / "sweep.csv", sweep_rows)
             ev.write_sweep_csv(out_dir / "plot_recall_fpr.csv", sweep_rows,
                                with_counts=False)

@@ -29,10 +29,6 @@ class PassFail(str, Enum):
         except ValueError:
             return cls.OTHER
 
-    @property
-    def is_fail(self) -> bool:
-        return self in (PassFail.FAIL_AVG_HI, PassFail.FAIL_AVG_LOW)
-
 
 class Inspection(str, Enum):
     NONE = "NONE"
@@ -169,74 +165,3 @@ def validate_wafer(record: WaferRecord) -> WaferRecord:
                 f"mismatched ids: measurement {m.id} attached to wafer {record.id}"
             )
     return record
-
-
-# Serialization helpers. Round trip is exact: timestamps go through
-# isoformat, None markers are preserved.
-
-def step_to_dict(step: SensorTimeStep) -> dict:
-    return {
-        "timestamp": step.timestamp.isoformat(),
-        "numeric": list(step.numeric_readings),
-        "categorical": list(step.categorical_readings),
-    }
-
-
-def step_from_dict(d: dict) -> SensorTimeStep:
-    return SensorTimeStep(
-        timestamp=datetime.fromisoformat(d["timestamp"]),
-        numeric_readings=tuple(d["numeric"]),
-        categorical_readings=tuple(d["categorical"]),
-    )
-
-
-def measurement_to_dict(m: MeasurementRecord) -> dict:
-    return {
-        "processing_id": m.id.processing_id,
-        "product_id": m.id.product_id,
-        "kqi": m.kqi,
-        "mtype": m.mtype,
-        "stage": m.stage,
-        "equipid": m.equipid,
-        "prod": m.prod,
-        "meas_med": m.meas_med,
-        "passfail": m.passfail.value,
-        "inspection": m.inspection.value,
-        "targ_min": m.targ_min,
-        "targ_max": m.targ_max,
-        "is_monitor": m.is_monitor,
-    }
-
-
-def measurement_from_dict(d: dict) -> MeasurementRecord:
-    return MeasurementRecord(
-        id=WaferId(d["processing_id"], d["product_id"]),
-        kqi=d["kqi"],
-        mtype=d["mtype"],
-        stage=d["stage"],
-        equipid=d["equipid"],
-        prod=d["prod"],
-        meas_med=d["meas_med"],
-        passfail=PassFail(d["passfail"]),
-        inspection=Inspection(d["inspection"]),
-        targ_min=d["targ_min"],
-        targ_max=d["targ_max"],
-        is_monitor=d["is_monitor"],
-    )
-
-
-def wafer_to_dict(w: WaferRecord) -> dict:
-    return {
-        "processing_id": w.id.processing_id,
-        "product_id": w.id.product_id,
-        "steps": [step_to_dict(s) for s in w.steps],
-        "measurements": [measurement_to_dict(m) for m in w.measurements],
-    }
-
-
-def wafer_from_dict(d: dict) -> WaferRecord:
-    return WaferRecord(
-        id=WaferId(d["processing_id"], d["product_id"]),
-        steps=tuple(step_from_dict(s) for s in d["steps"]),
-        measurements=tuple(measurement_from_dict(m) for m in d["measurements"]),
-    )

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ControlLimits, ErrorRecord, Inspection, MeasurementRecord, PassFail
+from .domain import ErrorRecord, Inspection, PassFail
 from .nn import ModelParams, forward_batch
-from .normgroups import GroupKey, NormalizationGroup
+from .normgroups import GroupKey, NormalizationGroup, group_bounds
 from .preprocess import Bucket, unjoin
 
 log = logging.getLogger(__name__)
 
 # (relative, absolute) thresholds for groups 1..5; strict comparisons.
 GROUP_THRESHOLDS = ((0.01, 0.1), (0.05, 0.5), (0.10, 1.0), (0.50, 5.0), (1.00, 10.0))
+_ETA_LIMITS, _EPS_LIMITS = np.array(GROUP_THRESHOLDS).T
 
 DEFAULT_F_GRID = (0.0, 0.1, 0.2, 0.3, 0.35, 0.4)
 
@@ -32,23 +33,25 @@ class EvaluationError(ValueError):
     pass
 
 
-def _group_of(eta: float, epsilon: float) -> int:
-    for k, (eta_lim, eps_lim) in enumerate(GROUP_THRESHOLDS, start=1):
-        if eta < eta_lim or epsilon < eps_lim:
-            return k
-    return 6
+def error_bands(eta: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
+    """Band (1..6) of each error: the first of the five thresholds that its
+    relative error eta or its absolute error epsilon beats, 6 if none."""
+    beats = (eta[:, None] < _ETA_LIMITS) | (epsilon[:, None] < _EPS_LIMITS)  # (N, 5)
+    return np.where(beats.any(axis=1), beats.argmax(axis=1) + 1, 6)
+
+
+def grade_errors(y_hat, y):
+    """(eta, epsilon, band) arrays of the predictions; eta is +inf where y = 0."""
+    y_hat, y = np.asarray(y_hat, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    epsilon = np.abs(y_hat - y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(y != 0, epsilon / np.abs(y), np.inf)
+    return eta, epsilon, error_bands(eta, epsilon)
 
 
 def relative_error(y_hat: float, y: float) -> ErrorRecord:
     """Absolute and relative error of one prediction; eta is +inf at y = 0."""
-    epsilon = abs(y_hat - y)
-    eta = epsilon / abs(y) if y != 0 else float("inf")
-    return ErrorRecord(eta=eta, epsilon=epsilon, group=_group_of(eta, epsilon))
-
-
-def assign_group(e: ErrorRecord) -> int:
-    """Smallest band whose relative or absolute threshold the error beats."""
-    return _group_of(e.eta, e.epsilon)
+    return ErrorRecord(*(a.item() for a in grade_errors([y_hat], [y])))
 
 
 @dataclass(frozen=True)
@@ -74,61 +77,26 @@ class GroupingReport:
         return cls(counts)
 
 
-def grouping_report(pairs) -> GroupingReport:
-    """Grade (prediction, truth) pairs into the six bands."""
-    counts = [0] * 6
-    n = 0
-    for y_hat, y in pairs:
-        counts[relative_error(y_hat, y).group - 1] += 1
-        n += 1
-    if n == 0:
+def grouping_report(y_hat, y) -> GroupingReport:
+    """Grade predictions ``y_hat`` against truths ``y`` into the six bands."""
+    band = grade_errors(y_hat, y)[2]
+    if band.size == 0:
         raise EvaluationError("grouping_report: no samples")
-    return GroupingReport.from_counts(counts)
-
-
-def label_fail_wafer(m: MeasurementRecord, limits: ControlLimits) -> bool:
-    """True iff the fail label, the inspection outcome, and the measurement
-    being outside the control limits all agree the wafer failed."""
-    return (
-        m.passfail.is_fail
-        and m.inspection in (Inspection.REWORK, Inspection.SCRAP)
-        and (m.meas_med > limits.ucl or m.meas_med < limits.lcl)
-    )
+    return GroupingReport.from_counts(np.bincount(band - 1, minlength=6))
 
 
 def label_fail_arrays(passfail, inspection, meas_med, lcl, ucl) -> np.ndarray:
-    """Vectorized label_fail_wafer over bucket arrays."""
+    """True where the fail label, the inspection outcome (rework or scrap) and
+    a measurement outside the control limits all agree the wafer failed."""
     fail_label = np.isin(passfail, [PassFail.FAIL_AVG_HI.value, PassFail.FAIL_AVG_LOW.value])
     inspected = np.isin(inspection, [Inspection.REWORK.value, Inspection.SCRAP.value])
     outside = (meas_med > ucl) | (meas_med < lcl)
     return fail_label & inspected & outside
 
 
-@dataclass(frozen=True)
-class FailPredicate:
-    """Shrunken control-limit interval test of Eq.-style tradeoff screening."""
-
-    b1_star: float
-    b2_star: float
-    f: float
-
-    def __post_init__(self) -> None:
-        if not self.b1_star < self.b2_star:
-            raise EvaluationError(f"need b1* < b2*, got ({self.b1_star}, {self.b2_star})")
-        if not 0.0 <= self.f < 0.5:
-            raise EvaluationError(f"f must be in [0, 0.5), got {self.f}")
-
-    @property
-    def r(self) -> float:
-        return self.b2_star - self.b1_star
-
-
-def predict_fail(y_hat: float, p: FailPredicate) -> bool:
-    """Fail iff y_hat falls outside the open interval (b1*+f*r, b2*-f*r)."""
-    return not (p.b1_star + p.f * p.r < y_hat < p.b2_star - p.f * p.r)
-
-
 def predict_fail_arrays(y_hat, b1_star, b2_star, f: float) -> np.ndarray:
+    """Fail where y_hat lies outside the open interval (b1* + f r, b2* - f r),
+    r = b2* - b1*: the control limits shrunk by a fraction f at each end."""
     r = b2_star - b1_star
     return ~((b1_star + f * r < y_hat) & (y_hat < b2_star - f * r))
 
@@ -201,16 +169,11 @@ def denormalize_bucket(preds: np.ndarray, bucket: Bucket,
                        groups: dict[GroupKey, NormalizationGroup]):
     """Map normalized-scale predictions back per sample.
 
-    Returns (y_hat, keep mask); samples whose key has no group are masked out.
+    Returns (y_hat, keep mask); samples whose key has no group are masked
+    out, and their y_hat is NaN.
     """
-    y_hat = np.full(len(preds), np.nan)
-    keep = np.zeros(len(preds), dtype=bool)
-    for i in range(len(preds)):
-        g = groups.get((bucket.kqi[i], bucket.mtype[i], bucket.stage[i]))
-        if g is not None:
-            y_hat[i] = preds[i] * (g.b2 - g.b1) + g.b1
-            keep[i] = True
-    return y_hat, keep
+    b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
+    return preds * (b2 - b1) + b1, ~np.isnan(b1)
 
 
 # Report files: a grouping CSV, a sweep CSV (doubling as plot data), and a

@@ -219,15 +219,6 @@ def assemble_wafers(
     return wafers
 
 
-def split_monitor(
-    measurements: list[MeasurementRecord],
-) -> tuple[list[MeasurementRecord], list[MeasurementRecord]]:
-    """Partition measurements into (monitor, non_monitor)."""
-    monitor = [m for m in measurements if m.is_monitor]
-    non_monitor = [m for m in measurements if not m.is_monitor]
-    return monitor, non_monitor
-
-
 def split_train_val_test(
     wafers: list[WaferRecord], seed: int
 ) -> tuple[list[WaferRecord], list[WaferRecord], list[WaferRecord]]:

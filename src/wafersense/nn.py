@@ -119,10 +119,6 @@ class ModelParams:
         return self.flat.size
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(params.cfg, np.zeros_like(params.flat))
-
-
 def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per weight matrix.
 

@@ -11,6 +11,8 @@ import csv
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import ControlLimits, LimitSource, MeasurementRecord
 
 log = logging.getLogger(__name__)
@@ -94,6 +96,17 @@ def normalize_target(y: float, g: NormalizationGroup) -> float:
 
 def denormalize(y_tilde: float, g: NormalizationGroup) -> float:
     return y_tilde * (g.b2 - g.b1) + g.b1
+
+
+def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage):
+    """Per-sample (b1, b2) arrays for the keys (kqi[i], mtype[i], stage[i]);
+    NaN where a key has no group."""
+    b1, b2 = np.full(len(kqi), np.nan), np.full(len(kqi), np.nan)
+    for i, key in enumerate(zip(kqi, mtype, stage)):
+        g = groups.get(key)
+        if g is not None:
+            b1[i], b2[i] = g.b1, g.b2
+    return b1, b2
 
 
 def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:

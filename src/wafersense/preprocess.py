@@ -18,13 +18,14 @@ import hashlib
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .domain import MeasurementRecord, WaferId, WaferRecord
+from .domain import MeasurementRecord, SensorTimeStep, WaferId, WaferRecord
 from .normgroups import GroupKey, resolve_control_limits
 
 log = logging.getLogger(__name__)
@@ -54,6 +55,15 @@ def datetime_features(timestamp: datetime) -> tuple[float, float]:
         + timestamp.microsecond / 1e6
     )
     return seconds / 86400.0, (timestamp.timetuple().tm_yday - 1) / 366.0
+
+
+def step_numeric_matrix(steps: Iterable[SensorTimeStep]) -> np.ndarray:
+    """Raw numeric readings plus datetime features, one row per step, missing as NaN."""
+    rows = []
+    for step in steps:
+        tod, doy = datetime_features(step.timestamp)
+        rows.append([v if v is not None else np.nan for v in step.numeric_readings] + [tod, doy])
+    return np.asarray(rows, dtype=float)
 
 
 def drop_degenerate_columns(columns: list[list]) -> list[int]:
@@ -149,10 +159,6 @@ class OneHotVocabulary:
         return np.concatenate([self.encode(i, label) for i, label in enumerate(row)])
 
 
-def one_hot(vocab: OneHotVocabulary, col: int, label: str) -> np.ndarray:
-    return vocab.encode(col, label)
-
-
 OUTLIER_RANGE = (-1.0, 1000.0)
 
 
@@ -211,29 +217,6 @@ def unjoin(features: np.ndarray, n_steps: int, s_width: int, m_width: int):
     return features[:split].reshape(n_steps, s_width), features[split:]
 
 
-def bucket_batches(samples, batch_size: int, seed: int):
-    """Batch samples so every batch is homogeneous in n_steps.
-
-    Within each bucket the order is shuffled deterministically by seed;
-    the final partial batch of each bucket is retained. Buckets are
-    visited in ascending n_steps order.
-    """
-    if batch_size < 1:
-        raise PreprocessError("batch_size must be >= 1")
-    buckets: dict[int, list] = {}
-    for sample in samples:
-        buckets.setdefault(sample.n_steps, []).append(sample)
-    rng = np.random.default_rng(seed)
-    batches = []
-    for n in sorted(buckets):
-        group = buckets[n]
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
-        for start in range(0, len(shuffled), batch_size):
-            batches.append(shuffled[start : start + batch_size])
-    return batches
-
-
 @dataclass(frozen=True)
 class FeaturePipeline:
     """Fitted transforms mapping records to model-ready rows."""
@@ -255,18 +238,9 @@ class FeaturePipeline:
     def m_width(self) -> int:
         return self.meas_vocab.total_width
 
-    def step_numeric_matrix(self, wafer: WaferRecord) -> np.ndarray:
-        """Raw numeric step values plus datetime features, missing as NaN."""
-        rows = []
-        for step in wafer.steps:
-            tod, doy = datetime_features(step.timestamp)
-            vals = [v if v is not None else np.nan for v in step.numeric_readings]
-            rows.append(vals + [tod, doy])
-        return np.asarray(rows, dtype=float)
-
     def encode_steps(self, wafer: WaferRecord) -> np.ndarray:
         """Wafer steps to an (n_steps, S) feature matrix."""
-        numeric = self.step_numeric_matrix(wafer)[:, self.kept_numeric]
+        numeric = step_numeric_matrix(wafer.steps)[:, self.kept_numeric]
         numeric = self.imputer.transform(self.scaler.transform(numeric))
         if not self.kept_sensor_cat:
             return numeric
@@ -321,16 +295,10 @@ def fit_pipeline(
     """
     if not train_wafers:
         raise PreprocessError("cannot fit the pipeline on an empty training split")
-    numeric_rows = []
-    cat_columns: list[list[str]] = [[] for _ in sensor_cat_names]
-    for wafer in train_wafers:
-        for step in wafer.steps:
-            tod, doy = datetime_features(step.timestamp)
-            vals = [v if v is not None else np.nan for v in step.numeric_readings]
-            numeric_rows.append(vals + [tod, doy])
-            for i, label in enumerate(step.categorical_readings):
-                cat_columns[i].append(label)
-    numeric = np.asarray(numeric_rows, dtype=float)
+    steps = [step for wafer in train_wafers for step in wafer.steps]
+    numeric = step_numeric_matrix(steps)
+    cat_columns = [[step.categorical_readings[i] for step in steps]
+                   for i in range(len(sensor_cat_names))]
 
     all_numeric_names = list(numeric_names) + list(DATETIME_FEATURES)
     kept_numeric = drop_degenerate_columns([list(numeric[:, j]) for j in range(numeric.shape[1])])

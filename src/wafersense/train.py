@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
-from .normgroups import GroupKey, NormalizationGroup, normalize_target
+from .normgroups import GroupKey, NormalizationGroup, group_bounds
 from .preprocess import Bucket, unjoin
 
 log = logging.getLogger(__name__)
@@ -25,25 +25,6 @@ LOSS_NL1 = "nl1"
 
 class TrainingDiverged(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RELossConfig:
-    c: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-
-
-def re_loss(y_hat: float, y: float, cfg: RELossConfig = RELossConfig()) -> float:
-    """|y_hat - y| / max(|y|, c): relative error with a saturated denominator."""
-    return abs(y_hat - y) / max(abs(y), cfg.c)
-
-
-def nl1_loss(y_tilde_hat: float, y: float, g: NormalizationGroup) -> float:
-    """L1 distance on the group-normalized target scale."""
-    return abs(y_tilde_hat - normalize_target(y, g))
 
 
 @dataclass(frozen=True)
@@ -68,13 +49,16 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not self.re_c > 0:
+            raise ValueError(f"re_loss_c must be > 0, got {self.re_c}")
 
 
 class ReLossFn:
     """Vectorized relative-error loss with its derivative in the prediction."""
-
-    name = LOSS_RE
-    needs_groups = False
 
     def __init__(self, c: float = 10.0):
         self.c = float(c)
@@ -89,13 +73,18 @@ class ReLossFn:
 class Nl1LossFn:
     """Vectorized normalized-L1 loss; targets are mapped with the sample's (b1, b2)."""
 
-    name = LOSS_NL1
-    needs_groups = True
-
     def values_and_grads(self, preds, targets, b1, b2):
         preds = np.asarray(preds, dtype=np.float64)
         diff = preds - (targets - b1) / (b2 - b1)
         return np.abs(diff), np.sign(diff)
+
+
+RELossConfig = ReLossFn  # the settings argument of re_loss, e.g. RELossConfig(c=10.0)
+
+
+def re_loss(y_hat: float, y: float, cfg: ReLossFn = ReLossFn()) -> float:
+    """|y_hat - y| / max(|y|, c): relative error with a saturated denominator."""
+    return cfg.values_and_grads(np.array([y_hat]), np.array([y], float), None, None)[0].item()
 
 
 def make_loss_fn(cfg: TrainConfig):
@@ -133,9 +122,7 @@ def make_train_buckets(
     excluded = 0
     for bucket in buckets:
         steps, meas = unjoin(bucket.features, bucket.n_steps, s_width, m_width)
-        found = [groups.get(key) for key in zip(bucket.kqi, bucket.mtype, bucket.stage)]
-        b1 = np.array([np.nan if g is None else g.b1 for g in found], dtype=np.float64)
-        b2 = np.array([np.nan if g is None else g.b2 for g in found], dtype=np.float64)
+        b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
         keep = np.arange(len(bucket))
         if require_groups:
             keep = np.nonzero(~np.isnan(b1))[0]

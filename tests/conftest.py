@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wafersense import cli
+from wafersense.nn import ModelParams
 
 
 TINY_CONFIG = """\
@@ -24,6 +26,10 @@ def write_config(path: Path, text: str = TINY_CONFIG) -> Path:
     cfg = path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
     return cfg
+
+
+def zeros_like_params(params: ModelParams) -> ModelParams:
+    return ModelParams(params.cfg, np.zeros_like(params.flat))
 
 
 def run_cli(*argv) -> int:

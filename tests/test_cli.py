@@ -13,7 +13,7 @@ import wafersense
 from wafersense import cli, preprocess
 from wafersense.cli import ConfigError, RunConfig, _parse_filter
 
-from conftest import run_cli, write_config
+from conftest import TINY_CONFIG, run_cli, write_config
 
 
 class TestRunConfig:
@@ -42,6 +42,12 @@ class TestRunConfig:
         assert (tc.loss, tc.learning_rate, tc.batch_size, tc.patience) == ("re", 1e-4, 16, 10)
         assert cfg.f_grid() == (0.0, 0.1, 0.2, 0.3, 0.35, 0.4)
         assert cfg.arch_preset() == "small"
+
+    @pytest.mark.parametrize("grid", ["0.5", "0.1, -0.1", " , "])
+    def test_config_f_grid_checked(self, tmp_path, grid):
+        cfg = RunConfig.load(write_config(tmp_path, f"[eval]\nf_grid = {grid}\n"))
+        with pytest.raises(ConfigError, match=r"need one or more f values, each in \[0, 0.5\)"):
+            cfg.f_grid()
 
     def test_step_weights_parsed(self, tmp_path):
         cfg = RunConfig.load(write_config(
@@ -204,6 +210,22 @@ class TestTrain:
                     "--out", tiny_run["root"] / "x.npz", "--loss", "bogus")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_epochs", "0", "max_epochs must be >= 1"),
+        ("loss", "foo", "loss must be 're' or 'nl1'"),
+        ("re_loss_c", "0", "re_loss_c must be > 0"),
+        ("learning_rate", "0", "learning_rate must be > 0"),
+        ("learning_rate", "fast", "could not convert"),
+    ])
+    def test_bad_train_value_is_an_error(self, tiny_run, tmp_path, capsys, key, value, message):
+        lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        cfg = write_config(tmp_path, "\n".join(lines).replace("[train]", f"[train]\n{key} = {value}"))
+        out = tmp_path / "x.npz"
+        assert run_cli("train", "--config", cfg, "--features", tiny_run["features"],
+                       "--out", out) == 1
+        assert f"error: [train] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filter_restricts_training_set(self, tiny_run, tmp_path):
         out = tmp_path / "filtered.npz"
         assert run_cli("train", "--config", tiny_run["config"],
@@ -263,6 +285,16 @@ class TestEvaluate:
                        "--f-grid", "0,0.25") == 0
         sweep = list(csv.DictReader(open(out / "sweep.csv")))
         assert [float(r["f"]) for r in sweep] == [0.0, 0.25]
+
+    @pytest.mark.parametrize("grid", ["-0.3,0.6,0.9", ",", "0.1,0.5", "nan", "0.1,x"])
+    def test_bad_f_grid_is_an_error(self, tiny_run, tmp_path, capsys, grid):
+        out = tmp_path / "reports_bad_grid"
+        assert run_cli("evaluate", "--config", tiny_run["config"],
+                       "--checkpoint", tiny_run["checkpoint"],
+                       "--features", tiny_run["features"], "--out", out,
+                       f"--f-grid={grid}") == 1
+        assert f"error: f grid {grid!r}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_test_filter(self, tiny_run, tmp_path):
         out = tmp_path / "reports_filtered"

@@ -1,8 +1,6 @@
-import json
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
 
 from wafersense.domain import (
     DomainError,
@@ -16,8 +14,6 @@ from wafersense.domain import (
     WaferId,
     WaferRecord,
     validate_wafer,
-    wafer_from_dict,
-    wafer_to_dict,
 )
 
 
@@ -109,40 +105,3 @@ class TestErrorRecord:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
             ErrorRecord(eta=0.0, epsilon=-1.0, group=1)
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
-labels = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
-
-
-@st.composite
-def wafer_records(draw):
-    wid = WaferId(draw(labels) + "p", draw(labels) + "w")
-    n_steps = draw(st.integers(min_value=1, max_value=4))
-    base = datetime(2022, 1, 1)
-    steps = tuple(
-        SensorTimeStep(
-            timestamp=base + timedelta(seconds=10 * i + draw(st.integers(0, 9))),
-            numeric_readings=tuple(draw(st.lists(
-                st.one_of(st.none(), finite), min_size=2, max_size=2))),
-            categorical_readings=(draw(labels),),
-        )
-        for i in range(n_steps)
-    )
-    sign = draw(st.booleans())
-    targ = (1.0, 4.5) if sign else (None, None)
-    measurements = tuple(
-        meas_for(wid, kqi=draw(labels), meas_med=draw(finite),
-                 passfail=draw(st.sampled_from(list(PassFail))),
-                 inspection=draw(st.sampled_from(list(Inspection))),
-                 targ_min=targ[0], targ_max=targ[1],
-                 is_monitor=draw(st.booleans()))
-        for _ in range(draw(st.integers(0, 2)))
-    )
-    return validate_wafer(WaferRecord(wid, steps, measurements))
-
-
-@given(wafer_records())
-def test_wafer_serialization_round_trip(record):
-    blob = json.dumps(wafer_to_dict(record))
-    assert wafer_from_dict(json.loads(blob)) == record

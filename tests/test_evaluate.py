@@ -4,25 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wafersense.domain import (
-    ControlLimits,
-    ErrorRecord,
-    Inspection,
-    LimitSource,
-    MeasurementRecord,
-    PassFail,
-    WaferId,
-)
+from wafersense.cli import ConfigError, RunConfig
+from wafersense.domain import ControlLimits, DomainError, Inspection, LimitSource, PassFail
 from wafersense.evaluate import (
     DEFAULT_F_GRID,
+    GROUP_THRESHOLDS,
     ConfusionCounts,
     EvaluationError,
-    FailPredicate,
     GroupingReport,
-    assign_group,
+    error_bands,
+    grade_errors,
     grouping_report,
-    label_fail_wafer,
-    predict_fail,
+    label_fail_arrays,
     predict_fail_arrays,
     recall_fpr_sweep,
     relative_error,
@@ -49,59 +42,71 @@ class TestRelativeError:
         assert e.epsilon == pytest.approx(0.2)
 
 
+def band(eta: float, epsilon: float) -> int:
+    return error_bands(np.array([eta]), np.array([epsilon])).item()
+
+
 class TestAssignGroup:
     def test_relative_branch(self):
-        assert assign_group(ErrorRecord(eta=0.004, epsilon=2.0, group=1)) == 1
+        assert band(eta=0.004, epsilon=2.0) == 1
 
     def test_absolute_branch_at_zero_truth(self):
-        assert assign_group(ErrorRecord(eta=float("inf"), epsilon=0.05, group=1)) == 1
+        assert band(eta=float("inf"), epsilon=0.05) == 1
 
     def test_group5(self):
-        assert assign_group(ErrorRecord(eta=0.6, epsilon=7.0, group=1)) == 5
+        assert band(eta=0.6, epsilon=7.0) == 5
 
     def test_group6(self):
-        assert assign_group(ErrorRecord(eta=1.5, epsilon=20.0, group=1)) == 6
+        assert band(eta=1.5, epsilon=20.0) == 6
 
     def test_thresholds_are_strict(self):
         # exactly at the group-1 thresholds: both comparisons fail, lands in 2
-        assert assign_group(ErrorRecord(eta=0.01, epsilon=0.1, group=1)) == 2
+        assert band(eta=0.01, epsilon=0.1) == 2
 
     @given(st.floats(0, 3), st.floats(0, 30))
     def test_exactly_one_group(self, eta, epsilon):
-        group = assign_group(ErrorRecord(eta=eta, epsilon=epsilon, group=1))
-        assert group in range(1, 7)
+        assert band(eta, epsilon) in range(1, 7)
 
     @given(st.floats(0, 3), st.floats(0, 30), st.floats(0, 30))
     def test_smaller_epsilon_never_worsens_group(self, eta, e1, e2):
         lo, hi = sorted([e1, e2])
-        g_small = assign_group(ErrorRecord(eta=eta, epsilon=lo, group=1))
-        g_big = assign_group(ErrorRecord(eta=eta, epsilon=hi, group=1))
-        assert g_small <= g_big
+        assert band(eta, lo) <= band(eta, hi)
+
+    def test_rows_graded_like_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        y_hat, y = rng.normal(0, 30, 300), rng.normal(0, 30, 300)
+        y[:5] = 0.0
+        eta, epsilon, bands = grade_errors(y_hat, y)
+        assert np.isinf(eta[:5]).all()
+        for i in range(300):
+            e = relative_error(y_hat[i], y[i])
+            assert (e.eta, e.epsilon, e.group) == (eta[i], epsilon[i], bands[i])
+            assert e.group == next((k for k, (rel, ab) in enumerate(GROUP_THRESHOLDS, 1)
+                                    if e.eta < rel or e.epsilon < ab), 6)
 
 
 class TestGroupingReport:
     def test_all_perfect(self):
-        report = grouping_report([(3.0, 3.0)] * 7)
+        report = grouping_report([3.0] * 7, [3.0] * 7)
         assert report.counts == (7, 0, 0, 0, 0, 0)
         assert report.decent_rate == 1.0
 
     def test_one_sample_per_group(self):
-        pairs = [
-            (100.0, 100.0),   # group 1
-            (104.0, 100.0),   # group 2: eta 4%
-            (107.0, 100.0),   # group 3: eta 7%
-            (120.0, 100.0),   # group 4: eta 20%
-            (170.0, 100.0),   # group 5: eta 70%
-            (300.0, 100.0),   # group 6
+        y_hat = [
+            100.0,   # group 1
+            104.0,   # group 2: eta 4%
+            107.0,   # group 3: eta 7%
+            120.0,   # group 4: eta 20%
+            170.0,   # group 5: eta 70%
+            300.0,   # group 6
         ]
-        report = grouping_report(pairs)
+        report = grouping_report(y_hat, [100.0] * 6)
         assert report.counts == (1, 1, 1, 1, 1, 1)
         assert report.decent_rate == pytest.approx(1 / 3)
 
     def test_partition_sums_to_total(self):
         rng = np.random.default_rng(0)
-        pairs = list(zip(rng.normal(0, 50, 500), rng.normal(0, 50, 500)))
-        report = grouping_report(pairs)
+        report = grouping_report(rng.normal(0, 50, 500), rng.normal(0, 50, 500))
         assert report.total == 500
 
     def test_published_re_row_arithmetic(self):
@@ -112,48 +117,45 @@ class TestGroupingReport:
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
-            grouping_report([])
+            grouping_report([], [])
 
 
-def meas(passfail, inspection, value) -> MeasurementRecord:
-    return MeasurementRecord(
-        id=WaferId("P", "W"), kqi="K", mtype="T", stage="S", equipid="E",
-        prod="R", meas_med=value, passfail=passfail, inspection=inspection,
-        targ_min=None, targ_max=None, is_monitor=True)
+def label_fail(passfail: PassFail, inspection: Inspection, value: float) -> bool:
+    return label_fail_arrays(np.array([passfail.value]), np.array([inspection.value]),
+                             np.array([value]), LIMITS.lcl, LIMITS.ucl).item()
 
 
 class TestLabelFailWafer:
     def test_all_three_conditions_met(self):
-        m = meas(PassFail.FAIL_AVG_HI, Inspection.REWORK, 12.0)
-        assert label_fail_wafer(m, LIMITS) is True
+        assert label_fail(PassFail.FAIL_AVG_HI, Inspection.REWORK, 12.0) is True
 
     def test_missing_inspection_blocks(self):
-        m = meas(PassFail.FAIL_AVG_HI, Inspection.NONE, 12.0)
-        assert label_fail_wafer(m, LIMITS) is False
+        assert label_fail(PassFail.FAIL_AVG_HI, Inspection.NONE, 12.0) is False
 
     def test_pass_label_blocks_even_with_scrap(self):
-        m = meas(PassFail.PASS, Inspection.SCRAP, 5.0)
-        assert label_fail_wafer(m, LIMITS) is False
+        assert label_fail(PassFail.PASS, Inspection.SCRAP, 5.0) is False
 
     def test_inside_limits_blocks(self):
-        m = meas(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, 5.0)
-        assert label_fail_wafer(m, LIMITS) is False
+        assert label_fail(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, 5.0) is False
 
     def test_below_lcl_counts(self):
-        m = meas(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, -2.0)
-        assert label_fail_wafer(m, LIMITS) is True
+        assert label_fail(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, -2.0) is True
+
+
+def predict_fail(y_hat: float, b1_star: float, b2_star: float, f: float) -> bool:
+    return predict_fail_arrays(np.array([y_hat]), b1_star, b2_star, f).item()
 
 
 class TestPredictFail:
     def test_boundary_is_fail_at_f_zero(self):
-        assert predict_fail(10.0, FailPredicate(0.0, 10.0, f=0.0)) is True
+        assert predict_fail(10.0, 0.0, 10.0, f=0.0) is True
 
     def test_center_passes_at_f_035(self):
         # interval shrinks to (3.5, 6.5)
-        assert predict_fail(5.0, FailPredicate(0.0, 10.0, f=0.35)) is False
+        assert predict_fail(5.0, 0.0, 10.0, f=0.35) is False
 
     def test_shrunken_boundary_is_fail(self):
-        assert predict_fail(3.5, FailPredicate(0.0, 10.0, f=0.35)) is True
+        assert predict_fail(3.5, 0.0, 10.0, f=0.35) is True
 
     def test_f_zero_reduces_to_outside_control_limits(self):
         rng = np.random.default_rng(0)
@@ -162,10 +164,11 @@ class TestPredictFail:
         assert np.array_equal(got, (y <= 0.0) | (y >= 10.0))
 
     def test_invalid_predicates_rejected(self):
-        with pytest.raises(EvaluationError):
-            FailPredicate(5.0, 5.0, f=0.1)
-        with pytest.raises(EvaluationError):
-            FailPredicate(0.0, 10.0, f=0.5)
+        # b1* < b2* holds for every resolved limit pair, f in [0, 0.5) for every f grid
+        with pytest.raises(DomainError):
+            ControlLimits(5.0, 5.0, LimitSource.LCL_UCL)
+        with pytest.raises(ConfigError):
+            RunConfig().f_grid("0.1,0.5")
 
 
 class TestSweep:

@@ -10,7 +10,6 @@ from wafersense.ingest import (
     RawTable,
     dedupe,
     load_table,
-    split_monitor,
     split_train_val_test,
 )
 
@@ -113,21 +112,8 @@ class TestMetrology:
         table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
         records = ingest.parse_metrology_table(table, monitor_marker="MON")
         assert [m.is_monitor for m in records] == [True, False]
-        monitor, non_monitor = split_monitor(records)
-        assert [m.kqi for m in monitor] == ["KQI-MON-1"]
-        assert [m.kqi for m in non_monitor] == ["KQI-1"]
-
-    def test_split_monitor_exhaustive_disjoint(self, tmp_path):
-        rows = [
-            "P1,W1,KQI-MON-2,T,S,E,R,1.0,PASS,NONE,,",
-            "P1,W1,KQI-2,T,S,E,R,1.0,PASS,NONE,,",
-            "P1,W2,KQI-2,T,S,E,R,2.0,PASS,NONE,,",
-        ]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
-        records = ingest.parse_metrology_table(table)
-        monitor, non_monitor = split_monitor(records)
-        assert len(monitor) + len(non_monitor) == len(records)
-        assert not (set(id(m) for m in monitor) & set(id(m) for m in non_monitor))
+        assert [m.kqi for m in records if m.is_monitor] == ["KQI-MON-1"]
+        assert [m.kqi for m in records if not m.is_monitor] == ["KQI-1"]
 
     def test_inverted_targ_row_skipped(self, tmp_path):
         rows = ["P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,9.0,2.0"]

@@ -12,8 +12,9 @@ from wafersense.nn import (
     load_checkpoint,
     param_count,
     save_checkpoint,
-    zeros_like_params,
 )
+
+from conftest import zeros_like_params
 
 TINY = ArchConfig(sensor_dim=6, meas_dim=3, d=4, mlp_hidden=5)
 

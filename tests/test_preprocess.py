@@ -13,6 +13,7 @@ from wafersense.domain import (
     WaferRecord,
 )
 from wafersense import preprocess as pp
+from wafersense.train import TrainBucket, iter_epoch_batches
 
 
 class TestDatetimeFeatures:
@@ -112,17 +113,17 @@ class TestOneHot:
         self.vocab = pp.OneHotVocabulary.fit([["a", "b", "c", "b"]])
 
     def test_known_label(self):
-        assert np.array_equal(pp.one_hot(self.vocab, 0, "b"), [0, 1, 0, 0])
+        assert np.array_equal(self.vocab.encode(0, "b"), [0, 1, 0, 0])
 
     def test_unseen_label_hits_unknown_slot(self):
-        assert np.array_equal(pp.one_hot(self.vocab, 0, "d"), [0, 0, 0, 1])
+        assert np.array_equal(self.vocab.encode(0, "d"), [0, 0, 0, 1])
 
     def test_empty_label_hits_unknown_slot(self):
-        assert np.array_equal(pp.one_hot(self.vocab, 0, ""), [0, 0, 0, 1])
+        assert np.array_equal(self.vocab.encode(0, ""), [0, 0, 0, 1])
 
     @given(st.text(max_size=3))
     def test_rows_sum_to_one(self, label):
-        assert pp.one_hot(self.vocab, 0, label).sum() == 1.0
+        assert self.vocab.encode(0, label).sum() == 1.0
 
 
 class TestJoin:
@@ -174,37 +175,40 @@ class TestJoin:
             pp.unjoin(np.zeros(10), 2, 3, 2)
 
 
-def _sample(n_steps: int) -> pp.JoinedSample:
-    return pp.JoinedSample(WaferId("P", "W"), n_steps, np.zeros(n_steps), 0.0, ("K", "T", "S"))
+def _epoch_batches(step_counts, batch_size, seed, epoch=1):
+    """Training batches over one bucket per step count; sample i has target i."""
+    buckets = []
+    for n in sorted(set(step_counts)):
+        ids = np.array([i for i, c in enumerate(step_counts) if c == n], dtype=np.float64)
+        buckets.append(TrainBucket(n, np.zeros((len(ids), n, 1), np.float32),
+                                   np.zeros((len(ids), 1), np.float32), ids,
+                                   np.zeros(len(ids)), np.ones(len(ids))))
+    return [(steps.shape[1], target.astype(int).tolist()) for steps, _, target, _, _
+            in iter_epoch_batches(buckets, batch_size, seed, epoch)]
 
 
 class TestBucketBatches:
     def test_homogeneous_batches(self):
-        batches = pp.bucket_batches([_sample(2), _sample(2), _sample(3)], 2, seed=0)
-        sizes = sorted((b[0].n_steps, len(b)) for b in batches)
-        assert sizes == [(2, 2), (3, 1)]
+        batches = _epoch_batches([2, 2, 3], 2, seed=0)
+        assert sorted((n, len(ids)) for n, ids in batches) == [(2, 2), (3, 1)]
 
     def test_partial_batch_retained(self):
-        batches = pp.bucket_batches([_sample(2) for _ in range(33)], 16, seed=0)
-        assert [len(b) for b in batches] == [16, 16, 1]
+        batches = _epoch_batches([2] * 33, 16, seed=0)
+        assert sorted(len(ids) for _, ids in batches) == [1, 16, 16]
 
     def test_deterministic(self):
-        samples = [_sample(n) for n in (2, 3, 2, 2, 3, 1)]
-        a = pp.bucket_batches(samples, 2, seed=9)
-        b = pp.bucket_batches(samples, 2, seed=9)
-        assert [[id(s) for s in batch] for batch in a] == [[id(s) for s in batch] for batch in b]
+        counts = [2, 3, 2, 2, 3, 1]
+        assert _epoch_batches(counts, 2, seed=9) == _epoch_batches(counts, 2, seed=9)
 
     @settings(max_examples=25)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=30),
-           st.integers(1, 7), st.integers(0, 100))
-    def test_every_batch_homogeneous_and_partition(self, step_counts, batch_size, seed):
-        samples = [_sample(n) for n in step_counts]
-        batches = pp.bucket_batches(samples, batch_size, seed)
-        for batch in batches:
-            assert len({s.n_steps for s in batch}) == 1
-            assert len(batch) <= batch_size
-        flat = [id(s) for batch in batches for s in batch]
-        assert sorted(flat) == sorted(id(s) for s in samples)
+           st.integers(1, 7), st.integers(0, 100), st.integers(1, 5))
+    def test_every_batch_homogeneous_and_partition(self, step_counts, batch_size, seed, epoch):
+        batches = _epoch_batches(step_counts, batch_size, seed, epoch)
+        for n, ids in batches:
+            assert {step_counts[i] for i in ids} == {n}
+            assert len(ids) <= batch_size
+        assert sorted(i for _, ids in batches for i in ids) == list(range(len(step_counts)))
 
 
 def build_wafers():
