@@ -19,7 +19,6 @@ import numpy as np
 
 from . import evaluate as ev
 from . import ingest, normgroups, preprocess, synthgen
-from .domain import WaferRecord
 from .nn import ArchConfig, load_checkpoint, save_checkpoint
 from .train import (
     TrainConfig,
@@ -81,13 +80,13 @@ class RunConfig:
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.raw.get(section, {}).get(key, default)
 
-    def get_int(self, section: str, key: str, default: int) -> int:
+    def get_number(self, section: str, key: str, default: int | float) -> int | float:
+        """The value parsed as the type of ``default`` (int or float)."""
         v = self.get(section, key)
-        return default if v is None else int(v)
-
-    def get_float(self, section: str, key: str, default: float) -> float:
-        v = self.get(section, key)
-        return default if v is None else float(v)
+        try:
+            return default if v is None else type(default)(v)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc} (key {key})") from None
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         v = self.get(section, key)
@@ -100,64 +99,55 @@ class RunConfig:
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {v!r}")
 
     def synth_config(self, seed_override: int | None = None) -> synthgen.SynthConfig:
-        n_wafers = self.get("synth", "n_wafers")
-        if n_wafers is None:
+        """SynthConfig from the [synth] keys given; the others keep SynthConfig's defaults."""
+        given = self.raw.get("synth", {})
+        if "n_wafers" not in given:
             raise ConfigError("missing required config key: [synth] n_wafers")
-        seed = seed_override if seed_override is not None else self.get_int("synth", "seed", 0)
-        weights = self.get("synth", "step_weights")
-        kwargs = {}
-        if weights is not None:
-            kwargs["step_weights"] = _parse_step_weights(weights)
-        lo = self.get_float("synth", "group_offset_lo", 1.0)
-        hi = self.get_float("synth", "group_offset_hi", 3.0)
-        return synthgen.SynthConfig(
-            n_wafers=int(n_wafers),
-            seed=seed,
-            n_numeric_sensors=self.get_int("synth", "n_numeric_sensors", 24),
-            n_sensor_categoricals=self.get_int("synth", "n_sensor_categoricals", 2),
-            sensor_cat_vocab=self.get_int("synth", "sensor_cat_vocab", 5),
-            n_kqi=self.get_int("synth", "n_kqi", 3),
-            n_type=self.get_int("synth", "n_type", 2),
-            n_stage=self.get_int("synth", "n_stage", 2),
-            n_equip=self.get_int("synth", "n_equip", 4),
-            n_prod=self.get_int("synth", "n_prod", 3),
-            wafers_per_batch=self.get_int("synth", "wafers_per_batch", 4),
-            measurements_per_wafer=self.get_int("synth", "measurements_per_wafer", 3),
-            noise_sd=self.get_float("synth", "noise_sd", 0.2),
-            fail_rate=self.get_float("synth", "fail_rate", 0.02),
-            missing_cell_rate=self.get_float("synth", "missing_cell_rate", 0.02),
-            duplicate_row_rate=self.get_float("synth", "duplicate_row_rate", 0.01),
-            targ_rate=self.get_float("synth", "targ_rate", 0.5),
-            group_offset_range=(lo, hi),
-            **kwargs,
-        )
+        kwargs = {key: self.get_number("synth", key, getattr(synthgen.SynthConfig, key, 0))
+                  for key in given if key not in ("step_weights", "group_offset_lo",
+                                                  "group_offset_hi")}
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
+        kwargs["group_offset_range"] = (self.get_number("synth", "group_offset_lo", 1.0),
+                                        self.get_number("synth", "group_offset_hi", 3.0))
+        try:
+            if "step_weights" in given:
+                kwargs["step_weights"] = _parse_step_weights(given["step_weights"])
+            return synthgen.SynthConfig(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[synth] {exc}") from None
 
     def sensor_categorical_columns(self) -> list[str]:
         explicit = self.get("schema", "sensor_categorical_columns")
         if explicit is not None:
             return [c.strip() for c in explicit.split(",") if c.strip()]
-        n = self.get_int("synth", "n_sensor_categoricals", 2)
+        n = self.get_number("synth", "n_sensor_categoricals", 2)
         return [f"cat_{i:02d}" for i in range(n)]
 
     def monitor_marker(self) -> str:
-        return self.get("schema", "monitor_marker", "MON")
+        marker = self.get("schema", "monitor_marker", "MON")
+        if not marker:
+            # "" is a substring of every KQI label: every measurement would be a monitor
+            raise ConfigError("[schema] monitor_marker must not be empty")
+        return marker
 
     def train_on_monitor(self) -> bool:
         return self.get_bool("schema", "train_on_monitor", False)
 
     def train_config(self, loss_override: str | None = None,
                      seed_override: int | None = None) -> TrainConfig:
+        kwargs = dict(
+            loss=loss_override or self.get("train", "loss", "re"),
+            learning_rate=self.get_number("train", "learning_rate", 1e-4),
+            batch_size=self.get_number("train", "batch_size", 16),
+            patience=self.get_number("train", "patience", 10),
+            max_epochs=self.get_number("train", "max_epochs", 200),
+            seed=seed_override if seed_override is not None
+            else self.get_number("train", "seed", 0),
+            re_c=self.get_number("train", "re_loss_c", 10.0),
+        )
         try:
-            return TrainConfig(
-                loss=loss_override or self.get("train", "loss", "re"),
-                learning_rate=self.get_float("train", "learning_rate", 1e-4),
-                batch_size=self.get_int("train", "batch_size", 16),
-                patience=self.get_int("train", "patience", 10),
-                max_epochs=self.get_int("train", "max_epochs", 200),
-                seed=seed_override if seed_override is not None
-                else self.get_int("train", "seed", 0),
-                re_c=self.get_float("train", "re_loss_c", 10.0),
-            )
+            return TrainConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"[train] {exc}") from None
 
@@ -194,7 +184,10 @@ def _parse_step_weights(raw: str) -> dict[int, float]:
         if not part:
             continue
         n, _, w = part.partition(":")
-        weights[int(n)] = float(w)
+        try:
+            weights[int(n)] = float(w)
+        except ValueError:
+            raise ValueError(f"step_weights: expected n:weight pairs, got {part!r}") from None
     return weights
 
 
@@ -261,52 +254,48 @@ def _load_dataset(cfg: RunConfig, data_dir: Path):
     cat_cols = cfg.sensor_categorical_columns()
     sensor_raw, sensor_dups = _dedupe_counted(ingest.load_table(
         data_dir / "sensor.csv", required_columns=ingest.SENSOR_ID_COLUMNS + cat_cols))
+    sensor = ingest.parse_sensor_table(sensor_raw, cat_cols)
+    del sensor_raw  # the row tuples are the largest copy of the data
     metrology_raw, metrology_dups = _dedupe_counted(ingest.load_table(
         data_dir / "metrology.csv", required_columns=ingest.METROLOGY_COLUMNS))
+    measurements = ingest.parse_metrology_table(metrology_raw, cfg.monitor_marker())
+    del metrology_raw
     _status(f"duplicate rows dropped: {sensor_dups} sensor, {metrology_dups} metrology")
     duplicates = {"sensor": sensor_dups, "metrology": metrology_dups}
-    limits_raw = ingest.load_table(data_dir / "limits.csv",
-                                   required_columns=ingest.LIMITS_COLUMNS)
-    steps = ingest.parse_sensor_table(sensor_raw, cat_cols)
-    measurements = ingest.parse_metrology_table(metrology_raw, cfg.monitor_marker())
-    limits = ingest.parse_limits_table(limits_raw)
-    numeric_cols = ingest.sensor_numeric_columns(sensor_raw, cat_cols)
-    wafers = ingest.assemble_wafers(steps, measurements)
-    return wafers, limits, numeric_cols, cat_cols, duplicates
+    limits = ingest.parse_limits_table(ingest.load_table(
+        data_dir / "limits.csv", required_columns=ingest.LIMITS_COLUMNS))
+    return ingest.assemble_wafers(sensor, measurements), limits, duplicates
 
 
 def cmd_preprocess(args) -> int:
     cfg = RunConfig.load(args.config)
     data_dir = cfg.path("data_dir", args.data)
     out_dir = cfg.path("features_dir", args.out)
+    seed = cfg.get_number("preprocess", "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"[preprocess] seed must be >= 0, got {seed}")
+    monitor_marker = cfg.monitor_marker()
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.get_int("preprocess", "seed", 0)
 
-    wafers, limits, numeric_cols, cat_cols, duplicates = _load_dataset(cfg, data_dir)
-    train_w, val_w, test_w = ingest.split_train_val_test(wafers, seed)
-    _status(f"wafers: {len(wafers)} -> split {len(train_w)}/{len(val_w)}/{len(test_w)}")
+    wafers, limits, duplicates = _load_dataset(cfg, data_dir)
+    train, val, test = ingest.split_train_val_test(len(wafers), seed)
+    _status(f"wafers: {len(wafers)} -> split {len(train)}/{len(val)}/{len(test)}")
 
-    def strip_outliers(wafer_list):
-        out = []
-        for w in wafer_list:
-            kept = tuple(preprocess.filter_outlier_targets(list(w.measurements)))
-            out.append(WaferRecord(id=w.id, steps=w.steps, measurements=kept))
-        return out
-
-    train_w = strip_outliers(train_w)
-    train_meas = [m for w in train_w for m in w.measurements]
-    pipeline = preprocess.fit_pipeline(train_w, train_meas, numeric_cols, cat_cols)
-    groups = normgroups.build_groups(train_meas, limits)
+    wafers = preprocess.filter_outlier_targets(wafers, train)
+    pipeline = preprocess.fit_pipeline(wafers, train)
+    groups = normgroups.build_groups(
+        wafers.measurements.take(wafers.measurement_rows(train)), limits)
     normgroups.write_groups_csv(out_dir / "groups.csv", groups)
     _status(f"S = {pipeline.s_width}, M = {pipeline.m_width}, "
             f"normalization groups = {len(groups)}")
 
     monitor_is_training = cfg.train_on_monitor()
     bucket_sizes: dict[str, dict[str, int]] = {}
-    for split, wafer_list in (("train", train_w), ("val", val_w), ("test", test_w)):
+    for split, wafer_idx in (("train", train), ("val", val), ("test", test)):
         for stream, monitor_stream in ((preprocess.STREAM_REGRESSION, monitor_is_training),
                                        (preprocess.STREAM_PASSFAIL, not monitor_is_training)):
-            buckets = preprocess.build_buckets(wafer_list, pipeline, limits, monitor_stream)
+            buckets = preprocess.build_buckets(wafers, wafer_idx, pipeline, limits,
+                                               monitor_stream)
             sizes = {}
             for n, bucket in buckets.items():
                 preprocess.save_bucket(out_dir / preprocess.bucket_filename(stream, split, n),
@@ -319,7 +308,7 @@ def cmd_preprocess(args) -> int:
     manifest_hash = preprocess.write_manifest(out_dir, pipeline, bucket_sizes, {
         "split_seed": seed,
         "train_on_monitor": monitor_is_training,
-        "monitor_marker": cfg.monitor_marker(),
+        "monitor_marker": monitor_marker,
         "duplicate_rows_dropped": duplicates,
     })
     _status(f"manifest hash: {manifest_hash}")

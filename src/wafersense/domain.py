@@ -1,15 +1,16 @@
 """Shared domain types for the soft-sensing engine.
 
-Everything here is an immutable value object: records are validated on
-construction and never mutated afterwards, so they are safe to share
-across threads.
+Records are held as columns: a SensorTable of time steps, a MeasurementTable
+of metrology rows and a WaferTable joining the two. Each table checks its
+invariants on construction and is never mutated afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -51,84 +52,176 @@ class LimitSource(str, Enum):
     LCL_UCL = "LCL_UCL"
 
 
+# Appended after the raw numeric readings in every SensorTable.numeric row.
+DATETIME_FEATURES = ("time_of_day", "day_of_year")
+
+
+def _spans(starts: np.ndarray, which) -> np.ndarray:
+    """Concatenated index ranges starts[w]:starts[w + 1], for w in ``which`` in order."""
+    lo, n = starts[which], np.diff(starts)[which]
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum(), dtype=np.intp)
+
+
 @dataclass(frozen=True)
-class WaferId:
-    """Identifier pair that is globally unique per wafer."""
+class SensorTable:
+    """Sensor time steps, grouped by wafer and in time order within a wafer.
 
-    processing_id: str
-    product_id: str
-
-
-@dataclass(frozen=True)
-class SensorTimeStep:
-    """One chronological row of sensor readings for a wafer.
-
-    ``numeric_readings`` uses None for missing cells; missing categorical
-    cells are carried as the empty string.
+    Wafer w is (processing_id[w], product_id[w]) and owns rows
+    starts[w]:starts[w + 1]. Missing numeric cells are NaN, missing labels "".
     """
 
-    timestamp: datetime
-    numeric_readings: tuple[float | None, ...]
-    categorical_readings: tuple[str, ...]
+    processing_id: np.ndarray   # (n_wafers,) str objects
+    product_id: np.ndarray
+    starts: np.ndarray          # (n_wafers + 1,)
+    time_us: np.ndarray         # (n_rows,) microseconds since 1970-01-01, UTC if offset given
+    numeric: np.ndarray         # (n_rows, len(numeric_names) + 2): readings, DATETIME_FEATURES
+    categorical: np.ndarray     # (n_rows, len(categorical_names)) str objects
+    numeric_names: tuple[str, ...]
+    categorical_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        empty = np.flatnonzero(np.diff(self.starts) <= 0)
+        if empty.size:
+            raise DomainError(f"empty steps for wafer {self.wafer_id(empty[0])}")
+        owner = np.repeat(np.arange(len(self)), np.diff(self.starts))
+        back = np.flatnonzero((np.diff(self.time_us) < 0) & (np.diff(owner) == 0))
+        if back.size:
+            raise DomainError(f"unsorted steps for wafer {self.wafer_id(owner[back[0]])}")
+
+    def __len__(self) -> int:
+        return len(self.processing_id)
+
+    def wafer_id(self, w) -> tuple[str, str]:
+        return self.processing_id[w], self.product_id[w]
+
+    def take_wafers(self, which: np.ndarray) -> "SensorTable":
+        rows, n_steps = _spans(self.starts, which), np.diff(self.starts)[which]
+        return replace(self, processing_id=self.processing_id[which],
+                       product_id=self.product_id[which], starts=np.cumsum([0, *n_steps]),
+                       time_us=self.time_us[rows], numeric=self.numeric[rows],
+                       categorical=self.categorical[rows])
+
+
+@dataclass(frozen=True)
+class MeasurementTable:
+    """Metrology rows as columns of str objects, floats (NaN: missing targ) and
+    bools; passfail and inspection hold PassFail and Inspection values."""
+
+    processing_id: np.ndarray
+    product_id: np.ndarray
+    kqi: np.ndarray
+    mtype: np.ndarray
+    stage: np.ndarray
+    equipid: np.ndarray
+    prod: np.ndarray
+    meas_med: np.ndarray
+    passfail: np.ndarray
+    inspection: np.ndarray
+    targ_min: np.ndarray
+    targ_max: np.ndarray
+    is_monitor: np.ndarray
+
+    def __post_init__(self) -> None:
+        lo, hi = self.targ_min, self.targ_max
+        inverted = np.flatnonzero(~(lo < hi) & ~np.isnan(lo) & ~np.isnan(hi))
+        if inverted.size:
+            raise DomainError(f"targ_min must be < targ_max, got "
+                              f"({lo[inverted[0]]}, {hi[inverted[0]]})")
+
+    def __len__(self) -> int:
+        return len(self.meas_med)
+
+    def take(self, index) -> "MeasurementTable":
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+    def group_keys(self) -> list[tuple[str, str, str]]:
+        return list(zip(self.kqi, self.mtype, self.stage))
+
+
+@dataclass(frozen=True)
+class WaferTable:
+    """Wafers with both sensor steps and measurements; wafer w's measurements
+    are rows meas_starts[w]:meas_starts[w + 1], in metrology-file order."""
+
+    sensor: SensorTable
+    measurements: MeasurementTable
+    meas_starts: np.ndarray
+
+    def __post_init__(self) -> None:
+        meas, owner = self.measurements, self.measurement_wafers()
+        wrong = np.flatnonzero((meas.processing_id != self.sensor.processing_id[owner])
+                               | (meas.product_id != self.sensor.product_id[owner]))
+        if wrong.size:
+            i, w = wrong[0], owner[wrong[0]]
+            raise DomainError(f"mismatched ids: measurement of {meas.processing_id[i]}/"
+                              f"{meas.product_id[i]} attached to wafer {self.sensor.wafer_id(w)}")
+
+    def __len__(self) -> int:
+        return len(self.sensor)
+
+    def __iter__(self):
+        keys = self.measurements.group_keys()
+        for w, n in enumerate(self.n_steps):
+            rows = self.measurement_rows([w])
+            yield WaferRecord(self, w, self.sensor.wafer_id(w), int(n),
+                              tuple(MeasurementRecord(self.measurements, i, keys[i]) for i in rows))
+
+    @property
+    def n_steps(self) -> np.ndarray:
+        return np.diff(self.sensor.starts)
+
+    def step_rows(self, wafers) -> np.ndarray:
+        """Sensor rows of ``wafers``, wafer by wafer in the given order."""
+        return _spans(self.sensor.starts, wafers)
+
+    def measurement_rows(self, wafers) -> np.ndarray:
+        """Measurement rows of ``wafers``, wafer by wafer in the given order."""
+        return _spans(self.meas_starts, wafers)
+
+    def measurement_wafers(self) -> np.ndarray:
+        """The wafer each measurement belongs to."""
+        return np.repeat(np.arange(len(self)), np.diff(self.meas_starts))
+
+    def keep_measurements(self, keep: np.ndarray) -> "WaferTable":
+        counts = np.bincount(self.measurement_wafers()[keep], minlength=len(self))
+        return WaferTable(self.sensor, self.measurements.take(keep),
+                          np.concatenate([[0], np.cumsum(counts)]))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One metrology row attached to a wafer."""
+    """Row ``index`` of a MeasurementTable."""
 
-    id: WaferId
-    kqi: str
-    mtype: str
-    stage: str
-    equipid: str
-    prod: str
-    meas_med: float
-    passfail: PassFail
-    inspection: Inspection
-    targ_min: float | None
-    targ_max: float | None
-    is_monitor: bool
-
-    def __post_init__(self) -> None:
-        if self.targ_min is not None and self.targ_max is not None:
-            if not self.targ_min < self.targ_max:
-                raise DomainError(
-                    f"targ_min must be < targ_max, got ({self.targ_min}, {self.targ_max})"
-                )
-
-    @property
-    def group_key(self) -> tuple[str, str, str]:
-        return (self.kqi, self.mtype, self.stage)
+    table: MeasurementTable
+    index: int
+    group_key: tuple[str, str, str]
 
 
 @dataclass(frozen=True)
 class WaferRecord:
-    """One wafer: identity, ordered sensor time steps, attached measurements."""
+    """Wafer ``index`` of a WaferTable."""
 
-    id: WaferId
-    steps: tuple[SensorTimeStep, ...]
-    measurements: tuple[MeasurementRecord, ...] = field(default_factory=tuple)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
+    table: WaferTable
+    index: int
+    id: tuple[str, str]
+    n_steps: int
+    measurements: tuple[MeasurementRecord, ...]
 
 
 @dataclass(frozen=True)
 class ControlLimits:
-    """Resolved lower/upper control limits for one measurement."""
+    """Resolved lower/upper control limits and their LimitSource value, one
+    entry per measurement; NaN limits and source "" where nothing resolved."""
 
-    lcl: float
-    ucl: float
-    source: LimitSource
+    lcl: np.ndarray
+    ucl: np.ndarray
+    source: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.lcl < self.ucl:
-            raise DomainError(f"lcl must be < ucl, got ({self.lcl}, {self.ucl})")
-
-    @property
-    def width(self) -> float:
-        return self.ucl - self.lcl
+        lcl, ucl = np.atleast_1d(self.lcl, self.ucl)
+        bad = np.flatnonzero(~np.isnan(lcl) & ~(lcl < ucl))
+        if bad.size:
+            raise DomainError(f"lcl must be < ucl, got ({lcl[bad[0]]}, {ucl[bad[0]]})")
 
 
 @dataclass(frozen=True)
@@ -146,22 +239,3 @@ class ErrorRecord:
             raise DomainError(f"eta must be nonnegative, got {self.eta}")
         if self.group not in range(1, 7):
             raise DomainError(f"group must be in 1..6, got {self.group}")
-
-
-def validate_wafer(record: WaferRecord) -> WaferRecord:
-    """Return ``record`` unchanged iff every WaferRecord invariant holds.
-
-    Raises DomainError naming the violated invariant: empty steps, unsorted
-    steps, or measurements whose wafer id does not match.
-    """
-    if len(record.steps) == 0:
-        raise DomainError(f"empty steps for wafer {record.id}")
-    for prev, cur in zip(record.steps, record.steps[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise DomainError(f"unsorted steps for wafer {record.id}")
-    for m in record.measurements:
-        if m.id != record.id:
-            raise DomainError(
-                f"mismatched ids: measurement {m.id} attached to wafer {record.id}"
-            )
-    return record

@@ -7,7 +7,8 @@ The engine consumes three CSV files:
                    meas_med, passfail, inspection, targ_min, targ_max
 * limits table:    kqi, type, stage, lcl, ucl
 
-Empty cells are preserved as missing (None), never coerced to 0.
+Each table is parsed column by column into the tables of ``domain``. Empty
+cells stay missing, never 0: NaN in numeric columns, "" in label columns.
 """
 
 from __future__ import annotations
@@ -15,20 +16,12 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from datetime import datetime
-from math import isfinite
+from datetime import datetime, timedelta
+from itertools import compress, repeat
 
 import numpy as np
 
-from .domain import (
-    Inspection,
-    MeasurementRecord,
-    PassFail,
-    SensorTimeStep,
-    WaferId,
-    WaferRecord,
-    validate_wafer,
-)
+from .domain import Inspection, MeasurementTable, PassFail, SensorTable, WaferTable
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +32,10 @@ METROLOGY_COLUMNS = [
 LIMITS_COLUMNS = ["kqi", "type", "stage", "lcl", "ucl"]
 SENSOR_ID_COLUMNS = ["processing_id", "product_id", "timestamp"]
 
+_EPOCH = datetime(1970, 1, 1)
+_US = timedelta(microseconds=1)
+_EMPTY_AS_NAN = {"": "nan"}
+
 
 class IngestError(ValueError):
     pass
@@ -46,10 +43,10 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class RawTable:
-    """A parsed CSV: header names plus rows of optional cells."""
+    """A parsed CSV: header names plus rows of cells, "" where a cell is empty."""
 
     column_names: tuple[str, ...]
-    rows: tuple[tuple[str | None, ...], ...]
+    rows: tuple[tuple[str, ...], ...]
 
     def column_index(self, name: str) -> int:
         try:
@@ -57,22 +54,27 @@ class RawTable:
         except ValueError:
             raise IngestError(f"missing required column {name!r}") from None
 
+    def columns(self, names: list[str] | None = None) -> list[tuple[str, ...]]:
+        """The cells of every column, or of the named ones."""
+        columns = list(zip(*self.rows)) or [()] * len(self.column_names)
+        return columns if names is None else [columns[self.column_index(n)] for n in names]
+
 
 def load_table(path, required_columns: list[str] | None = None) -> RawTable:
-    """Load a CSV with a header row, preserving empty cells as missing."""
+    """Load a CSV with a header row; every row must have the header's width."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, header row required") from None
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise IngestError(f"{path}: ragged row at line {lineno}")
-            rows.append(tuple(cell if cell != "" else None for cell in row))
-    table = RawTable(tuple(header), tuple(rows))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = tuple(map(tuple, reader))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise IngestError(f"{path}: {exc}") from None
+    if header is None:
+        raise IngestError(f"{path}: empty file, header row required")
+    ragged = [len(row) != len(header) for row in rows]
+    if any(ragged):
+        raise IngestError(f"{path}: ragged row at line {ragged.index(True) + 2}")
+    table = RawTable(tuple(header), rows)
     for name in required_columns or []:
         table.column_index(name)
     return table
@@ -83,159 +85,168 @@ def dedupe(table: RawTable) -> RawTable:
     return RawTable(table.column_names, tuple(dict.fromkeys(table.rows)))
 
 
-def _parse_float(cell: str | None, context: str) -> float | None:
-    """A finite float, or None for a missing cell; inf and nan are rejected."""
-    if cell is None:
-        return None
+def _first_rejected(parse, cells) -> str:
+    for cell in cells:
+        try:
+            parse(cell)
+        except ValueError:
+            return cell
+
+
+def _float_column(cells, name: str) -> np.ndarray:
+    """Finite floats parsed with ``float``, NaN for an empty cell; inf and nan are rejected."""
     try:
-        value = float(cell)
+        values = np.array(list(map(float, map(_EMPTY_AS_NAN.get, cells, cells))), dtype=np.float64)
     except ValueError:
-        raise IngestError(f"{context}: not a number: {cell!r}") from None
-    if not isfinite(value):
-        raise IngestError(f"{context}: not a finite number: {cell!r}")
-    return value
+        bad = _first_rejected(float, [cell for cell in cells if cell])
+        raise IngestError(f"{name}: not a number: {bad!r}") from None
+    for i in np.flatnonzero(np.isnan(values) | np.isinf(values)):
+        if cells[i]:
+            raise IngestError(f"{name}: not a finite number: {cells[i]!r}")
+    return values
 
 
-def parse_sensor_table(
-    table: RawTable, categorical_columns: list[str]
-) -> dict[WaferId, list[SensorTimeStep]]:
-    """Group sensor rows by wafer id and sort each wafer's steps chronologically.
+def datetime_features(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map wall-clock times, in microseconds since 1970-01-01, to (time in day,
+    date in year), both in [0, 1).
 
-    Every non-id, non-timestamp column outside ``categorical_columns`` is
-    treated as numeric.
+    Time in day is (hour*3600 + minute*60 + second + microsecond/1e6) / 86400.
+    The day-of-year denominator is fixed at 366 so leap years stay below 1.
     """
-    idx_proc = table.column_index("processing_id")
-    idx_prod = table.column_index("product_id")
-    idx_ts = table.column_index("timestamp")
+    day, us = np.divmod(wall_us, 86_400_000_000)
+    seconds = us // 1_000_000 + (us % 1_000_000) / 1e6
+    year_start = day.astype("datetime64[D]").astype("datetime64[Y]").astype("datetime64[D]")
+    return seconds / 86400.0, (day - year_start.astype(np.int64)) / 366.0
+
+
+def _parse_timestamps(cells) -> tuple[np.ndarray, np.ndarray]:
+    """(wall-clock, UTC) microseconds since 1970-01-01 of ISO-8601 timestamps;
+    without an offset both are the wall clock, and a mix has no common order."""
+    try:
+        stamps = [datetime.fromisoformat(cell) for cell in cells]
+    except ValueError:
+        bad = _first_rejected(datetime.fromisoformat, cells)
+        raise IngestError(f"unparseable timestamp {bad!r}") from None
+    if not any(t.tzinfo for t in stamps):
+        wall = np.array([(t - _EPOCH) // _US for t in stamps], dtype=np.int64)
+        return wall, wall
+    if not all(t.tzinfo for t in stamps):
+        raise IngestError("timestamps with and without a UTC offset are mixed")
+    wall = np.array([(t.replace(tzinfo=None) - _EPOCH) // _US for t in stamps], dtype=np.int64)
+    offset = np.array([t.utcoffset() // _US for t in stamps], dtype=np.int64)
+    return wall, wall - offset
+
+
+def parse_sensor_table(table: RawTable, categorical_columns: list[str]) -> SensorTable:
+    """Group sensor rows by wafer and sort each wafer's steps chronologically.
+
+    Wafers keep the order of their first row; steps with equal timestamps keep
+    file order. Every non-id, non-timestamp column outside
+    ``categorical_columns`` is numeric. Rows without an id or a timestamp are
+    skipped.
+    """
+    idx_proc, idx_prod, idx_ts = (table.column_index(c) for c in SENSOR_ID_COLUMNS)
     cat_idx = [table.column_index(c) for c in categorical_columns]
     special = {idx_proc, idx_prod, idx_ts, *cat_idx}
     num_idx = [i for i in range(len(table.column_names)) if i not in special]
 
-    steps: dict[WaferId, list[SensorTimeStep]] = {}
-    for row in table.rows:
-        if row[idx_proc] is None or row[idx_prod] is None or row[idx_ts] is None:
-            log.warning("sensor row with missing id or timestamp skipped")
-            continue
-        wid = WaferId(row[idx_proc], row[idx_prod])
-        try:
-            ts = datetime.fromisoformat(row[idx_ts])
-        except ValueError:
-            raise IngestError(f"unparseable timestamp {row[idx_ts]!r}") from None
-        numeric = tuple(_parse_float(row[i], table.column_names[i]) for i in num_idx)
-        categorical = tuple(row[i] if row[i] is not None else "" for i in cat_idx)
-        steps.setdefault(wid, []).append(
-            SensorTimeStep(timestamp=ts, numeric_readings=numeric, categorical_readings=categorical)
-        )
-    for wid in steps:
-        steps[wid].sort(key=lambda s: s.timestamp)
-    return steps
+    columns = table.columns()
+    present = [bool(p and q and t) for p, q, t in
+               zip(columns[idx_proc], columns[idx_prod], columns[idx_ts])]
+    if not all(present):
+        log.warning("%d sensor rows with missing id or timestamp skipped",
+                    len(present) - sum(present))
+        columns = [list(compress(col, present)) for col in columns]
+
+    wall, instant = _parse_timestamps(columns[idx_ts])
+    numeric = np.column_stack([*(_float_column(columns[i], table.column_names[i])
+                                 for i in num_idx), *datetime_features(wall)])
+    categorical = np.array([columns[i] for i in cat_idx], dtype=object)
+    categorical = categorical.T.reshape(sum(present), len(cat_idx))
+
+    keys = list(zip(columns[idx_proc], columns[idx_prod]))
+    index = {key: w for w, key in enumerate(dict.fromkeys(keys))}  # first-appearance order
+    wafer = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    order = np.lexsort((instant, wafer))
+    ids = np.array(list(index), dtype=object).reshape(-1, 2)
+    return SensorTable(
+        processing_id=ids[:, 0], product_id=ids[:, 1],
+        starts=np.concatenate([[0], np.cumsum(np.bincount(wafer, minlength=len(index)))]),
+        time_us=instant[order], numeric=numeric[order], categorical=categorical[order],
+        numeric_names=tuple(table.column_names[i] for i in num_idx),
+        categorical_names=tuple(categorical_columns))
 
 
-def sensor_numeric_columns(table: RawTable, categorical_columns: list[str]) -> list[str]:
-    special = set(SENSOR_ID_COLUMNS) | set(categorical_columns)
-    return [c for c in table.column_names if c not in special]
+def _label_column(cells, from_label) -> np.ndarray:
+    values = {label: from_label(label).value for label in set(cells)}
+    return np.array([values[label] for label in cells], dtype=object)
 
 
-def parse_metrology_table(table: RawTable, monitor_marker: str = "MON") -> list[MeasurementRecord]:
-    """Parse metrology rows into MeasurementRecords.
+def parse_metrology_table(table: RawTable, monitor_marker: str = "MON") -> MeasurementTable:
+    """Parse metrology rows into a MeasurementTable.
 
     ``is_monitor`` is derived from the presence of ``monitor_marker`` as a
-    substring of the KQI label. Rows without a usable meas_med, or with an
-    inverted targ pair, are skipped with a diagnostic.
+    substring of the KQI label. Rows without a usable meas_med or wafer id, or
+    with an inverted targ pair, are skipped with a diagnostic.
     """
-    idx = {c: table.column_index(c) for c in METROLOGY_COLUMNS}
-    records: list[MeasurementRecord] = []
-    skipped = 0
-    for row in table.rows:
-        meas_med = _parse_float(row[idx["meas_med"]], "meas_med")
-        if meas_med is None or row[idx["processing_id"]] is None or row[idx["product_id"]] is None:
-            skipped += 1
-            continue
-        kqi = row[idx["kqi"]] or ""
-        targ_min = _parse_float(row[idx["targ_min"]], "targ_min")
-        targ_max = _parse_float(row[idx["targ_max"]], "targ_max")
-        if targ_min is not None and targ_max is not None and not targ_min < targ_max:
-            log.warning("metrology row skipped: targ_min %s >= targ_max %s", targ_min, targ_max)
-            skipped += 1
-            continue
-        records.append(
-            MeasurementRecord(
-                id=WaferId(row[idx["processing_id"]], row[idx["product_id"]]),
-                kqi=kqi,
-                mtype=row[idx["type"]] or "",
-                stage=row[idx["stage"]] or "",
-                equipid=row[idx["equipid"]] or "",
-                prod=row[idx["prod"]] or "",
-                meas_med=meas_med,
-                passfail=PassFail.from_label(row[idx["passfail"]] or ""),
-                inspection=Inspection.from_label(row[idx["inspection"]] or ""),
-                targ_min=targ_min,
-                targ_max=targ_max,
-                is_monitor=monitor_marker in kqi,
-            )
-        )
-    if skipped:
-        log.info("parse_metrology_table: skipped %d unusable rows", skipped)
-    return records
+    col = dict(zip(METROLOGY_COLUMNS, (np.array(c, dtype=object) for c in
+                                       table.columns(METROLOGY_COLUMNS))))
+    meas_med = _float_column(col["meas_med"], "meas_med")
+    keep = ~np.isnan(meas_med) & (col["processing_id"] != "") & (col["product_id"] != "")
+    lo, hi = np.full((2, len(meas_med)), np.nan)
+    lo[keep], hi[keep] = (_float_column(col[name][keep], name) for name in ("targ_min", "targ_max"))
+    inverted = keep & ~(lo < hi) & ~np.isnan(lo) & ~np.isnan(hi)
+    keep &= ~inverted
+    if not keep.all():
+        log.info("parse_metrology_table: skipped %d unusable rows, %d of them with "
+                 "targ_min >= targ_max", len(keep) - keep.sum(), inverted.sum())
+    fields = {("mtype" if name == "type" else name): values[keep] for name, values in col.items()}
+    fields.update(meas_med=meas_med[keep], targ_min=lo[keep], targ_max=hi[keep],
+                  passfail=_label_column(fields["passfail"], PassFail.from_label),
+                  inspection=_label_column(fields["inspection"], Inspection.from_label),
+                  is_monitor=np.array([monitor_marker in kqi for kqi in fields["kqi"]], dtype=bool))
+    return MeasurementTable(**fields)
 
 
 def parse_limits_table(table: RawTable) -> dict[tuple[str, str, str], tuple[float, float]]:
     """Read the fallback (lcl, ucl) table keyed by (kqi, type, stage)."""
-    idx = {c: table.column_index(c) for c in LIMITS_COLUMNS}
-    out: dict[tuple[str, str, str], tuple[float, float]] = {}
-    for row in table.rows:
-        lcl = _parse_float(row[idx["lcl"]], "lcl")
-        ucl = _parse_float(row[idx["ucl"]], "ucl")
-        if lcl is None or ucl is None or not lcl < ucl:
-            log.warning("limits row skipped: invalid pair (%s, %s)", lcl, ucl)
-            continue
-        key = (row[idx["kqi"]] or "", row[idx["type"]] or "", row[idx["stage"]] or "")
-        out[key] = (lcl, ucl)
-    return out
+    kqi, mtype, stage, lcl, ucl = table.columns(LIMITS_COLUMNS)
+    lo, hi = _float_column(lcl, "lcl"), _float_column(ucl, "ucl")
+    valid = lo < hi
+    if not valid.all():
+        log.warning("%d limits rows skipped: missing or lcl >= ucl", len(valid) - valid.sum())
+    return {key: (float(a), float(b)) for key, a, b, ok in
+            zip(zip(kqi, mtype, stage), lo, hi, valid) if ok}
 
 
-def assemble_wafers(
-    steps_by_wafer: dict[WaferId, list[SensorTimeStep]],
-    measurements: list[MeasurementRecord],
-) -> list[WaferRecord]:
+def assemble_wafers(sensor: SensorTable, measurements: MeasurementTable) -> WaferTable:
     """Attach measurements to their wafers; keep only wafers with both parts."""
-    meas_by_wafer: dict[WaferId, list[MeasurementRecord]] = {}
-    orphans = 0
-    for m in measurements:
-        if m.id in steps_by_wafer:
-            meas_by_wafer.setdefault(m.id, []).append(m)
-        else:
-            orphans += 1
-    if orphans:
-        log.info("assemble_wafers: %d measurements without sensor rows dropped", orphans)
-    wafers = []
-    for wid, steps in steps_by_wafer.items():
-        meas = meas_by_wafer.get(wid)
-        if not meas:
-            continue
-        wafers.append(
-            validate_wafer(WaferRecord(id=wid, steps=tuple(steps), measurements=tuple(meas)))
-        )
-    return wafers
+    index = {key: w for w, key in enumerate(zip(sensor.processing_id, sensor.product_id))}
+    wafer = np.fromiter(map(index.get, zip(measurements.processing_id, measurements.product_id),
+                            repeat(-1)), np.intp, len(measurements))
+    if (wafer < 0).any():
+        log.info("assemble_wafers: %d measurements without sensor rows dropped",
+                 (wafer < 0).sum())
+    counts = np.bincount(wafer[wafer >= 0], minlength=len(sensor))
+    kept = np.flatnonzero(counts)
+    if len(kept) < len(sensor):
+        sensor = sensor.take_wafers(kept)
+    attached = np.flatnonzero(wafer >= 0)
+    return WaferTable(sensor, measurements.take(attached[np.argsort(wafer[attached],
+                                                                    kind="stable")]),
+                      np.concatenate([[0], np.cumsum(counts[kept])]))
 
 
-def split_train_val_test(
-    wafers: list[WaferRecord], seed: int
-) -> tuple[list[WaferRecord], list[WaferRecord], list[WaferRecord]]:
-    """Split wafers 7:2:1 at wafer granularity, deterministically by seed.
+def split_train_val_test(n_wafers: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split wafer indices 0..n_wafers-1 7:2:1, deterministically by seed.
 
-    Val and test sizes are floored; the remainder goes to train.
+    Val and test sizes are floored; the remainder goes to train. Each split
+    lists its wafers in shuffled order.
     """
-    if not wafers:
+    if not n_wafers:
         raise IngestError("split_train_val_test: no wafers to split")
-    n = len(wafers)
-    n_val = (2 * n) // 10
-    n_test = n // 10
-    order = np.random.default_rng(seed).permutation(n)
-    shuffled = [wafers[i] for i in order]
-    n_train = n - n_val - n_test
-    return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_val],
-        shuffled[n_train + n_val :],
-    )
+    n_val = (2 * n_wafers) // 10
+    n_test = n_wafers // 10
+    order = np.random.default_rng(seed).permutation(n_wafers)
+    n_train = n_wafers - n_val - n_test
+    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]

@@ -8,14 +8,12 @@ back with the inverse affine transform.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .domain import ControlLimits, LimitSource, MeasurementRecord
-
-log = logging.getLogger(__name__)
+from .domain import ControlLimits, LimitSource, MeasurementTable
 
 GroupKey = tuple[str, str, str]
 
@@ -35,59 +33,44 @@ class NormalizationGroup:
 
 
 def resolve_control_limits(
-    meas: MeasurementRecord,
+    measurements: MeasurementTable,
     fallback: dict[GroupKey, tuple[float, float]],
-) -> ControlLimits | None:
-    """Resolve a measurement's control limits.
+) -> ControlLimits:
+    """Resolve every measurement's control limits.
 
     The targ pair wins when both ends are present; otherwise the fallback
     table row for the measurement's (kqi, type, stage) is used; otherwise
-    there are no limits. Unusable pairs are skipped with a diagnostic.
+    there are no limits.
     """
-    if meas.targ_min is not None and meas.targ_max is not None:
-        if meas.targ_min < meas.targ_max:
-            return ControlLimits(meas.targ_min, meas.targ_max, LimitSource.TARG)
-        log.warning(
-            "inverted targ pair (%s, %s) for %s ignored",
-            meas.targ_min, meas.targ_max, meas.group_key,
-        )
-    pair = fallback.get(meas.group_key)
-    if pair is not None:
-        return ControlLimits(pair[0], pair[1], LimitSource.LCL_UCL)
-    return None
+    pairs = np.array(list(map(fallback.get, measurements.group_keys(), repeat((np.nan, np.nan)))),
+                     dtype=np.float64).reshape(-1, 2)
+    targ = ~np.isnan(measurements.targ_min) & ~np.isnan(measurements.targ_max)
+    source = np.where(targ, LimitSource.TARG.value,
+                      np.where(np.isnan(pairs[:, 0]), "", LimitSource.LCL_UCL.value))
+    return ControlLimits(np.where(targ, measurements.targ_min, pairs[:, 0]),
+                         np.where(targ, measurements.targ_max, pairs[:, 1]), source)
 
 
 def build_groups(
-    train_measurements: list[MeasurementRecord],
+    train_measurements: MeasurementTable,
     fallback: dict[GroupKey, tuple[float, float]],
 ) -> dict[GroupKey, NormalizationGroup]:
     """Pick (b1, b2) per (kqi, type, stage) key from training measurements.
 
     Among all resolved limit pairs within a key, the narrowest (smallest
-    b2 - b1) wins; ties break toward the smallest b1. Keys with no
-    resolvable limits are left out.
+    b2 - b1) wins; ties break toward the smallest b1, then toward the
+    earliest measurement. Keys with no resolvable limits are left out.
     """
-    candidates: dict[GroupKey, tuple[float, float]] = {}
-    for m in train_measurements:
-        limits = resolve_control_limits(m, fallback)
-        if limits is None:
-            continue
-        pair = (limits.lcl, limits.ucl)
-        if pair[1] - pair[0] < MIN_GROUP_WIDTH:
-            continue
-        best = candidates.get(m.group_key)
-        if best is None or _narrower(pair, best):
-            candidates[m.group_key] = pair
-    return {
-        key: NormalizationGroup(key, b1, b2) for key, (b1, b2) in candidates.items()
-    }
-
-
-def _narrower(pair: tuple[float, float], best: tuple[float, float]) -> bool:
-    width, best_width = pair[1] - pair[0], best[1] - best[0]
-    if width != best_width:
-        return width < best_width
-    return pair[0] < best[0]
+    limits = resolve_control_limits(train_measurements, fallback)
+    width = limits.ucl - limits.lcl
+    usable = np.flatnonzero(width >= MIN_GROUP_WIDTH)
+    keys = train_measurements.group_keys()
+    codes = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    key_code = np.fromiter(map(codes.__getitem__, keys), np.intp, len(keys))[usable]
+    order = np.lexsort((limits.lcl[usable], width[usable], key_code))
+    best = usable[order[np.diff(key_code[order], prepend=-1) != 0]]
+    return {keys[i]: NormalizationGroup(keys[i], float(limits.lcl[i]), float(limits.ucl[i]))
+            for i in best}
 
 
 def normalize_target(y: float, g: NormalizationGroup) -> float:

@@ -1,10 +1,12 @@
-"""Feature pipeline: raw wafer records to fixed-width numeric samples.
+"""Feature pipeline: wafer tables to fixed-width numeric samples.
 
-Stage order is fixed: datetime featurization, degenerate-column dropping,
-min-max scaling, median imputation, training-target outlier filtering,
-one-hot encoding, sensor/measurement join, time-step-homogeneous
-bucketing. Every transform is fitted on the training split only and then
-frozen; val/test go through the same fitted transforms.
+Stage order is fixed: degenerate-column dropping, min-max scaling, median
+imputation, training-target outlier filtering, one-hot encoding,
+sensor/measurement join, time-step-homogeneous bucketing (the datetime
+features come with the sensor table). Every transform is fitted on the
+training split only and then frozen; val/test go through the same fitted
+transforms. Each stage works on whole columns: a split's steps are encoded
+once, and every bucket is gathered from them by fancy indexing.
 
 Joined samples of different step counts have different widths, so buckets
 are persisted as one .npz file per (stream, split, n_steps), next to a
@@ -17,74 +19,39 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .domain import MeasurementRecord, SensorTimeStep, WaferId, WaferRecord
+from .domain import (DATETIME_FEATURES, MeasurementRecord, MeasurementTable, SensorTable,
+                     WaferRecord, WaferTable)
 from .normgroups import GroupKey, resolve_control_limits
 
 log = logging.getLogger(__name__)
 
-UNKNOWN = "__UNKNOWN__"
 MEAS_CATEGORICAL_COLUMNS = ("kqi", "mtype", "stage", "equipid", "prod")
-DATETIME_FEATURES = ("time_of_day", "day_of_year")
 
 STREAM_REGRESSION = "reg"
 STREAM_PASSFAIL = "pf"
-SPLITS = ("train", "val", "test")
 
 
 class PreprocessError(ValueError):
     pass
 
 
-def datetime_features(timestamp: datetime) -> tuple[float, float]:
-    """Map a timestamp to (time in day, date in year), both in [0, 1).
+def drop_degenerate_columns(columns) -> list[int]:
+    """Indices of columns with at least two distinct present values.
 
-    The day-of-year denominator is fixed at 366 so leap years stay below 1.
-    """
-    seconds = (
-        timestamp.hour * 3600
-        + timestamp.minute * 60
-        + timestamp.second
-        + timestamp.microsecond / 1e6
-    )
-    return seconds / 86400.0, (timestamp.timetuple().tm_yday - 1) / 366.0
-
-
-def step_numeric_matrix(steps: Iterable[SensorTimeStep]) -> np.ndarray:
-    """Raw numeric readings plus datetime features, one row per step, missing as NaN."""
-    rows = []
-    for step in steps:
-        tod, doy = datetime_features(step.timestamp)
-        rows.append([v if v is not None else np.nan for v in step.numeric_readings] + [tod, doy])
-    return np.asarray(rows, dtype=float)
-
-
-def drop_degenerate_columns(columns: list[list]) -> list[int]:
-    """Indices of columns that are neither all-missing nor constant.
-
-    Missing markers: None, NaN floats, and the empty string. Non-missing
-    values are compared for equality, so this works for numeric and
-    categorical columns alike.
+    A column is a float array, with NaN for missing, or a label array, with
+    "" for missing.
     """
     kept = []
     for idx, col in enumerate(columns):
-        seen = set()
-        for v in col:
-            if v is None or v == "":
-                continue
-            if isinstance(v, float) and math.isnan(v):
-                continue
-            seen.add(v)
-            if len(seen) > 1:
-                break
-        if len(seen) > 1:
+        col = np.asarray(col)
+        present = col[~np.isnan(col)] if col.dtype.kind == "f" else col[col != ""]
+        if present.size and np.any(present != present[0]):
             kept.append(idx)
     return kept
 
@@ -135,48 +102,47 @@ class OneHotVocabulary:
     labels: tuple[tuple[str, ...], ...]
 
     @classmethod
-    def fit(cls, columns: list[list[str]]) -> "OneHotVocabulary":
-        return cls(tuple(tuple(sorted(set(c for c in col if c != ""))) for col in columns))
-
-    @property
-    def widths(self) -> list[int]:
-        return [len(labels) + 1 for labels in self.labels]
+    def fit(cls, columns) -> "OneHotVocabulary":
+        return cls(tuple(tuple(sorted(set(col) - {""})) for col in columns))
 
     @property
     def total_width(self) -> int:
-        return sum(self.widths)
+        return sum(len(labels) + 1 for labels in self.labels)
 
-    def encode(self, col: int, label: str) -> np.ndarray:
-        labels = self.labels[col]
-        vec = np.zeros(len(labels) + 1)
-        try:
-            vec[labels.index(label)] = 1.0
-        except ValueError:
-            vec[-1] = 1.0  # unseen or empty label lands in the UNKNOWN slot
-        return vec
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """One-hot rows for an (n, n_columns) array of labels.
 
-    def encode_row(self, row: list[str]) -> np.ndarray:
-        return np.concatenate([self.encode(i, label) for i, label in enumerate(row)])
+        An unseen or empty label lands in its column's UNKNOWN slot.
+        """
+        out = np.zeros((len(rows), self.total_width))
+        offset = 0
+        for j, labels in enumerate(self.labels):
+            index = {label: i for i, label in enumerate(labels)}
+            codes = np.fromiter(map(index.get, rows[:, j], repeat(len(labels))), np.intp, len(rows))
+            out[np.arange(len(rows)), offset + codes] = 1.0
+            offset += len(labels) + 1
+        return out
 
 
 OUTLIER_RANGE = (-1.0, 1000.0)
 
 
-def filter_outlier_targets(measurements: list[MeasurementRecord]) -> list[MeasurementRecord]:
-    """Drop training measurements with meas_med outside the closed outlier range."""
+def filter_outlier_targets(wafers: WaferTable, train: np.ndarray) -> WaferTable:
+    """Drop the measurements of the ``train`` wafers whose meas_med lies
+    outside the closed outlier range; the wafers keep their steps."""
     lo, hi = OUTLIER_RANGE
-    kept = [m for m in measurements if lo <= m.meas_med <= hi]
-    dropped = len(measurements) - len(kept)
-    if dropped:
-        log.info("filter_outlier_targets: dropped %d of %d", dropped, len(measurements))
-    return kept
+    in_train, values = np.isin(wafers.measurement_wafers(), train), wafers.measurements.meas_med
+    outlier = in_train & ~((lo <= values) & (values <= hi))
+    if outlier.any():
+        log.info("filter_outlier_targets: dropped %d of %d", outlier.sum(), in_train.sum())
+    return wafers.keep_measurements(~outlier)
 
 
 @dataclass(frozen=True)
 class JoinedSample:
     """One (wafer, measurement) pair flattened to n_steps*S + M features."""
 
-    wafer_id: WaferId
+    wafer_id: tuple[str, str]
     n_steps: int
     features: np.ndarray
     target: float
@@ -184,22 +150,10 @@ class JoinedSample:
 
 
 def join_wafer(step_rows: np.ndarray, meas_row: np.ndarray, target: float,
-               wafer_id: WaferId, group_key: GroupKey) -> JoinedSample:
-    """Concatenate step rows in order, then the measurement row."""
-    step_rows = np.asarray(step_rows)
-    meas_row = np.asarray(meas_row)
-    if step_rows.ndim != 2:
-        raise PreprocessError(f"step rows must be 2-d, got shape {step_rows.shape}")
-    if meas_row.ndim != 1:
-        raise PreprocessError(f"measurement row must be 1-d, got shape {meas_row.shape}")
-    features = np.concatenate([step_rows.reshape(-1), meas_row])
-    return JoinedSample(
-        wafer_id=wafer_id,
-        n_steps=step_rows.shape[0],
-        features=features,
-        target=target,
-        group_key=group_key,
-    )
+               wafer_id: tuple[str, str], group_key: GroupKey) -> JoinedSample:
+    """One sample as build_buckets joins it: the step rows in order, then the measurement row."""
+    return JoinedSample(wafer_id, len(step_rows),
+                        np.concatenate([np.ravel(step_rows), meas_row]), target, group_key)
 
 
 def unjoin(features: np.ndarray, n_steps: int, s_width: int, m_width: int):
@@ -219,7 +173,7 @@ def unjoin(features: np.ndarray, n_steps: int, s_width: int, m_width: int):
 
 @dataclass(frozen=True)
 class FeaturePipeline:
-    """Fitted transforms mapping records to model-ready rows."""
+    """Fitted transforms mapping table rows to model-ready rows."""
 
     numeric_names: tuple[str, ...]        # raw numeric sensor columns, in CSV order
     kept_numeric: tuple[int, ...]         # indices into numeric_names + datetime features
@@ -238,20 +192,24 @@ class FeaturePipeline:
     def m_width(self) -> int:
         return self.meas_vocab.total_width
 
-    def encode_steps(self, wafer: WaferRecord) -> np.ndarray:
-        """Wafer steps to an (n_steps, S) feature matrix."""
-        numeric = step_numeric_matrix(wafer.steps)[:, self.kept_numeric]
+    def encode_step_rows(self, sensor: SensorTable, rows: np.ndarray) -> np.ndarray:
+        """Sensor rows to a (len(rows), S) feature matrix."""
+        numeric = sensor.numeric[np.ix_(rows, self.kept_numeric)]
         numeric = self.imputer.transform(self.scaler.transform(numeric))
-        if not self.kept_sensor_cat:
-            return numeric
-        cat_rows = []
-        for step in wafer.steps:
-            row = [step.categorical_readings[i] for i in self.kept_sensor_cat]
-            cat_rows.append(self.sensor_vocab.encode_row(row))
-        return np.concatenate([numeric, np.asarray(cat_rows)], axis=1)
+        labels = sensor.categorical[np.ix_(rows, self.kept_sensor_cat)]
+        return np.concatenate([numeric, self.sensor_vocab.encode(labels)], axis=1)
+
+    def encode_measurements(self, measurements: MeasurementTable) -> np.ndarray:
+        """Measurements to a (len(measurements), M) feature matrix."""
+        return self.meas_vocab.encode(np.stack(
+            [getattr(measurements, c) for c in MEAS_CATEGORICAL_COLUMNS], axis=1))
+
+    def encode_steps(self, wafer: WaferRecord) -> np.ndarray:
+        """One wafer's steps to an (n_steps, S) feature matrix."""
+        return self.encode_step_rows(wafer.table.sensor, wafer.table.step_rows([wafer.index]))
 
     def encode_measurement(self, m: MeasurementRecord) -> np.ndarray:
-        return self.meas_vocab.encode_row([m.kqi, m.mtype, m.stage, m.equipid, m.prod])
+        return self.encode_measurements(m.table.take([m.index]))[0]
 
     def to_manifest_dict(self) -> dict:
         return {
@@ -282,50 +240,42 @@ class FeaturePipeline:
         )
 
 
-def fit_pipeline(
-    train_wafers: list[WaferRecord],
-    train_measurements: list[MeasurementRecord],
-    numeric_names: list[str],
-    sensor_cat_names: list[str],
-) -> FeaturePipeline:
-    """Fit every transform on the training split.
+def fit_pipeline(wafers: WaferTable, train: np.ndarray) -> FeaturePipeline:
+    """Fit every transform on the ``train`` wafers.
 
-    ``train_measurements`` should already be outlier-filtered; it feeds the
+    Their measurements should already be outlier-filtered; they feed the
     measurement one-hot vocabulary.
     """
-    if not train_wafers:
+    if not len(train):
         raise PreprocessError("cannot fit the pipeline on an empty training split")
-    steps = [step for wafer in train_wafers for step in wafer.steps]
-    numeric = step_numeric_matrix(steps)
-    cat_columns = [[step.categorical_readings[i] for step in steps]
-                   for i in range(len(sensor_cat_names))]
+    sensor = wafers.sensor
+    rows = wafers.step_rows(train)
+    numeric = sensor.numeric[rows]
+    categorical = sensor.categorical[rows]
 
-    all_numeric_names = list(numeric_names) + list(DATETIME_FEATURES)
-    kept_numeric = drop_degenerate_columns([list(numeric[:, j]) for j in range(numeric.shape[1])])
-    dropped = sorted(set(range(numeric.shape[1])) - set(kept_numeric))
-    if dropped:
+    names = sensor.numeric_names + DATETIME_FEATURES
+    kept_numeric = drop_degenerate_columns(numeric.T)
+    if len(kept_numeric) < len(names):
         log.info("dropping degenerate numeric columns: %s",
-                 [all_numeric_names[j] for j in dropped])
+                 [name for j, name in enumerate(names) if j not in kept_numeric])
     if not kept_numeric:
         raise PreprocessError("every numeric column is degenerate")
 
-    kept_cat = drop_degenerate_columns(cat_columns)
+    kept_cat = drop_degenerate_columns(categorical.T)
     scaler = FittedScaler.fit(numeric[:, kept_numeric])
     imputer = FittedImputer.fit(scaler.transform(numeric[:, kept_numeric]))
-    sensor_vocab = OneHotVocabulary.fit([cat_columns[i] for i in kept_cat])
-
-    meas_columns = [[getattr(m, c) for m in train_measurements] for c in MEAS_CATEGORICAL_COLUMNS]
-    meas_vocab = OneHotVocabulary.fit(meas_columns)
+    sensor_vocab = OneHotVocabulary.fit(categorical.T[kept_cat])
+    train_meas = wafers.measurements.take(wafers.measurement_rows(train))
 
     return FeaturePipeline(
-        numeric_names=tuple(numeric_names),
+        numeric_names=sensor.numeric_names,
         kept_numeric=tuple(kept_numeric),
-        sensor_cat_names=tuple(sensor_cat_names),
+        sensor_cat_names=sensor.categorical_names,
         kept_sensor_cat=tuple(kept_cat),
         scaler=scaler,
         imputer=imputer,
         sensor_vocab=sensor_vocab,
-        meas_vocab=meas_vocab,
+        meas_vocab=OneHotVocabulary.fit(getattr(train_meas, c) for c in MEAS_CATEGORICAL_COLUMNS),
     )
 
 
@@ -351,56 +301,47 @@ class Bucket:
         return len(self.target)
 
 
+def _strings(values: np.ndarray) -> np.ndarray:
+    """A fixed-width str array, as wide as its longest entry."""
+    return np.asarray(values.tolist(), dtype=str)
+
+
 def build_buckets(
-    wafers: list[WaferRecord],
+    wafers: WaferTable,
+    split: np.ndarray,
     pipeline: FeaturePipeline,
     limits_table: dict[GroupKey, tuple[float, float]],
     monitor_stream: bool,
 ) -> dict[int, Bucket]:
-    """Join wafer steps with one measurement stream and bucket by n_steps."""
-    rows: dict[int, dict[str, list]] = {}
-    for wafer in wafers:
-        measurements = [m for m in wafer.measurements if m.is_monitor == monitor_stream]
-        if not measurements:
-            continue
-        step_rows = pipeline.encode_steps(wafer)
-        n = step_rows.shape[0]
-        acc = rows.setdefault(n, {k: [] for k in (
-            "features", "target", "kqi", "mtype", "stage", "passfail", "inspection",
-            "lcl", "ucl", "limit_source", "processing_id", "product_id")})
-        for m in measurements:
-            sample = join_wafer(step_rows, pipeline.encode_measurement(m), m.meas_med,
-                                wafer.id, m.group_key)
-            limits = resolve_control_limits(m, limits_table)
-            acc["features"].append(sample.features.astype(np.float32))
-            acc["target"].append(m.meas_med)
-            acc["kqi"].append(m.kqi)
-            acc["mtype"].append(m.mtype)
-            acc["stage"].append(m.stage)
-            acc["passfail"].append(m.passfail.value)
-            acc["inspection"].append(m.inspection.value)
-            acc["lcl"].append(limits.lcl if limits else np.nan)
-            acc["ucl"].append(limits.ucl if limits else np.nan)
-            acc["limit_source"].append(limits.source.value if limits else "")
-            acc["processing_id"].append(wafer.id.processing_id)
-            acc["product_id"].append(wafer.id.product_id)
+    """Join wafer steps with one measurement stream and bucket by n_steps.
+
+    Samples follow the wafer order of ``split`` and, within a wafer, the
+    metrology file's order.
+    """
+    rows = wafers.measurement_rows(split)
+    rows = rows[wafers.measurements.is_monitor[rows] == monitor_stream]
+    meas = wafers.measurements.take(rows)
+    limits = resolve_control_limits(meas, limits_table)
+    owner = wafers.measurement_wafers()[rows]
+    n_steps = wafers.n_steps
+    first_step = np.zeros(len(wafers), dtype=np.intp)
+    first_step[split] = np.cumsum(n_steps[split]) - n_steps[split]
+    steps = pipeline.encode_step_rows(wafers.sensor, wafers.step_rows(split)).astype(np.float32)
+    meas_x = pipeline.encode_measurements(meas).astype(np.float32)
     out = {}
-    for n in sorted(rows):
-        acc = rows[n]
-        out[n] = Bucket(
-            n_steps=n,
-            features=np.asarray(acc["features"], dtype=np.float32),
-            target=np.asarray(acc["target"], dtype=np.float64),
-            kqi=np.asarray(acc["kqi"]),
-            mtype=np.asarray(acc["mtype"]),
-            stage=np.asarray(acc["stage"]),
-            passfail=np.asarray(acc["passfail"]),
-            inspection=np.asarray(acc["inspection"]),
-            lcl=np.asarray(acc["lcl"], dtype=np.float64),
-            ucl=np.asarray(acc["ucl"], dtype=np.float64),
-            limit_source=np.asarray(acc["limit_source"]),
-            processing_id=np.asarray(acc["processing_id"]),
-            product_id=np.asarray(acc["product_id"]),
+    for n in np.unique(n_steps[owner]):
+        pick = np.flatnonzero(n_steps[owner] == n)
+        step_x = steps[first_step[owner[pick], None] + np.arange(n)].reshape(len(pick), -1)
+        out[int(n)] = Bucket(
+            n_steps=int(n),
+            features=np.concatenate([step_x, meas_x[pick]], axis=1),
+            target=meas.meas_med[pick],
+            lcl=limits.lcl[pick],
+            ucl=limits.ucl[pick],
+            limit_source=_strings(limits.source[pick]),
+            **{key: _strings(getattr(meas, key)[pick]) for key in (
+                "kqi", "mtype", "stage", "passfail", "inspection", "processing_id",
+                "product_id")},
         )
     return out
 

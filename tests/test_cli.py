@@ -92,6 +92,30 @@ class TestGenerate:
         assert run_cli("generate", "--config", cfg, "--out", tmp_path / "d") == 1
         assert "[synth] n_wafers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("generate", "n_wafers = lots", "[synth] invalid literal for int() with base 10: "
+                                        "'lots' (key n_wafers)"),
+        ("generate", "n_wafers = 0", "[synth] n_wafers must be >= 1"),
+        ("generate", "n_wafers = 5\nstep_weights = 1:x",
+         "[synth] step_weights: expected n:weight pairs, got '1:x'"),
+        ("generate", "n_wafers = 5\nnoise_sd = loud",
+         "[synth] could not convert string to float: 'loud' (key noise_sd)"),
+        ("preprocess", "n_wafers = 30\n[preprocess]\nseed = -1",
+         "[preprocess] seed must be >= 0, got -1"),
+        ("preprocess", "n_wafers = 30\n[preprocess]\nseed = x",
+         "[preprocess] invalid literal for int() with base 10: 'x' (key seed)"),
+        ("preprocess", "n_wafers = 30\n[schema]\nmonitor_marker =",
+         "[schema] monitor_marker must not be empty"),
+    ])
+    def test_bad_config_value_is_an_error(self, tiny_run, tmp_path, capsys, command, text,
+                                          message):
+        cfg = write_config(tmp_path, f"[synth]\n{text}\n")
+        argv = {"generate": ["--out", tmp_path / "d"],
+                "preprocess": ["--data", tiny_run["data"], "--out", tmp_path / "f"]}[command]
+        assert run_cli(command, "--config", cfg, *argv) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "f").exists()
+
 
 class TestPreprocess:
     def test_deterministic_outputs(self, tiny_run, tmp_path):

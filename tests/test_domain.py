@@ -1,5 +1,6 @@
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from wafersense.domain import (
@@ -8,71 +9,51 @@ from wafersense.domain import (
     ControlLimits,
     Inspection,
     LimitSource,
-    MeasurementRecord,
     PassFail,
-    SensorTimeStep,
-    WaferId,
-    WaferRecord,
-    validate_wafer,
 )
 
-
-def step_at(ts: datetime, numeric=(1.0, None), cats=("A",)):
-    return SensorTimeStep(timestamp=ts, numeric_readings=tuple(numeric),
-                          categorical_readings=tuple(cats))
-
-
-def meas_for(wid: WaferId, **overrides) -> MeasurementRecord:
-    kwargs = dict(
-        id=wid, kqi="KQI-1", mtype="TYPE-1", stage="STG-1", equipid="EQ-1",
-        prod="PROD-1", meas_med=19.3292, passfail=PassFail.PASS,
-        inspection=Inspection.NONE, targ_min=None, targ_max=None, is_monitor=False,
-    )
-    kwargs.update(overrides)
-    return MeasurementRecord(**kwargs)
-
+from conftest import measurement_table, wafer_table
 
 T0 = datetime(2022, 6, 15, 12, 0, 0)
 
 
+def wafer_with_steps(*timestamps, measurements=({},)):
+    steps = [(ts, (1.0, None), ("A",)) for ts in timestamps]
+    return wafer_table([(("P1", "W1"), steps, list(measurements))],
+                       numeric_names=("n0", "n1"), cat_names=("c0",))
+
+
 class TestValidateWafer:
     def test_sorted_steps_accepted(self):
-        wid = WaferId("P1", "W1")
-        record = WaferRecord(wid, steps=tuple(
-            step_at(T0 + timedelta(seconds=s)) for s in (1, 2, 3)))
-        assert validate_wafer(record) is record
+        table = wafer_with_steps(*(T0 + timedelta(seconds=s) for s in (1, 2, 3)))
+        assert list(table)[0].n_steps == 3
 
     def test_unsorted_steps_rejected(self):
-        wid = WaferId("P1", "W1")
-        record = WaferRecord(wid, steps=(
-            step_at(T0 + timedelta(seconds=2)), step_at(T0 + timedelta(seconds=1))))
         with pytest.raises(DomainError, match="unsorted"):
-            validate_wafer(record)
+            wafer_with_steps(T0 + timedelta(seconds=2), T0 + timedelta(seconds=1))
 
     def test_empty_steps_rejected(self):
         with pytest.raises(DomainError, match="empty steps"):
-            validate_wafer(WaferRecord(WaferId("P1", "W1"), steps=()))
+            wafer_with_steps(measurements=())
 
     def test_mismatched_measurement_id_rejected(self):
-        record = WaferRecord(
-            WaferId("P1", "W1"), steps=(step_at(T0),),
-            measurements=(meas_for(WaferId("P1", "OTHER")),))
+        table = wafer_with_steps(T0)
+        other = measurement_table(dict(processing_id="P1", product_id="OTHER"))
         with pytest.raises(DomainError, match="mismatched ids"):
-            validate_wafer(record)
+            type(table)(table.sensor, other, table.meas_starts)
 
     def test_equal_timestamps_allowed(self):
-        record = WaferRecord(WaferId("P1", "W1"), steps=(step_at(T0), step_at(T0)))
-        assert validate_wafer(record) is record
+        assert list(wafer_with_steps(T0, T0))[0].n_steps == 2
 
 
 class TestMeasurementRecord:
     def test_inverted_targ_pair_rejected(self):
         with pytest.raises(DomainError, match="targ_min"):
-            meas_for(WaferId("P1", "W1"), targ_min=8.0, targ_max=2.0)
+            measurement_table(dict(targ_min=8.0, targ_max=2.0))
 
     def test_valid_targ_pair_accepted(self):
-        m = meas_for(WaferId("P1", "W1"), targ_min=2.0, targ_max=8.0)
-        assert (m.targ_min, m.targ_max) == (2.0, 8.0)
+        m = measurement_table(dict(targ_min=2.0, targ_max=8.0))
+        assert (m.targ_min[0], m.targ_max[0]) == (2.0, 8.0)
 
     def test_unknown_labels_map_to_other(self):
         assert PassFail.from_label("FAIL_WEIRD") is PassFail.OTHER
@@ -80,17 +61,18 @@ class TestMeasurementRecord:
         assert Inspection.from_label("") is Inspection.NONE
 
     def test_group_key(self):
-        m = meas_for(WaferId("P1", "W1"))
-        assert m.group_key == ("KQI-1", "TYPE-1", "STG-1")
+        wafer = list(wafer_with_steps(T0, measurements=[dict(kqi="KQI-1", mtype="TYPE-1",
+                                                             stage="STG-1")]))[0]
+        assert wafer.measurements[0].group_key == ("KQI-1", "TYPE-1", "STG-1")
 
 
 class TestControlLimits:
     def test_requires_lcl_below_ucl(self):
         with pytest.raises(DomainError):
             ControlLimits(lcl=5.0, ucl=5.0, source=LimitSource.TARG)
-
-    def test_width(self):
-        assert ControlLimits(2.0, 8.0, LimitSource.LCL_UCL).width == 6.0
+        with pytest.raises(DomainError, match=r"\(3.0, 2.0\)"):
+            ControlLimits(np.array([0.0, np.nan, 3.0]), np.array([1.0, np.nan, 2.0]),
+                          np.array(["TARG", "", "TARG"]))
 
 
 class TestErrorRecord:

@@ -1,9 +1,7 @@
-from datetime import datetime
-
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wafersense.domain import WaferId, WaferRecord, SensorTimeStep
 from wafersense import ingest
 from wafersense.ingest import (
     IngestError,
@@ -32,7 +30,8 @@ class TestLoadTable:
 
     def test_empty_cell_is_missing_not_zero(self, tmp_path):
         table = load_table(write(tmp_path, "a,b\n1,\n"))
-        assert table.rows[0] == ("1", None)
+        assert table.rows[0] == ("1", "")
+        assert table.columns() == [("1",), ("",)]
 
     def test_missing_required_column(self, tmp_path):
         with pytest.raises(IngestError, match="missing required column 'c'"):
@@ -64,38 +63,28 @@ class TestDedupe:
         assert dedupe(once) == once
 
 
-def make_wafer(i: int) -> WaferRecord:
-    return WaferRecord(
-        WaferId(f"P{i}", f"W{i}"),
-        steps=(SensorTimeStep(datetime(2022, 1, 1), (1.0,), ()),),
-    )
-
-
 class TestSplit:
     def test_exact_ratio_10(self):
-        train, val, test = split_train_val_test([make_wafer(i) for i in range(10)], seed=0)
+        train, val, test = split_train_val_test(10, seed=0)
         assert (len(train), len(val), len(test)) == (7, 2, 1)
 
     def test_exact_ratio_100(self):
-        train, val, test = split_train_val_test([make_wafer(i) for i in range(100)], seed=0)
+        train, val, test = split_train_val_test(100, seed=0)
         assert (len(train), len(val), len(test)) == (70, 20, 10)
 
     def test_deterministic(self):
-        wafers = [make_wafer(i) for i in range(23)]
-        assert split_train_val_test(wafers, 5) == split_train_val_test(wafers, 5)
+        for a, b in zip(split_train_val_test(23, 5), split_train_val_test(23, 5)):
+            assert np.array_equal(a, b)
 
     def test_empty_input_rejected(self):
         with pytest.raises(IngestError):
-            split_train_val_test([], seed=0)
+            split_train_val_test(0, seed=0)
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=5))
     def test_partition(self, n, seed):
-        wafers = [make_wafer(i) for i in range(n)]
-        train, val, test = split_train_val_test(wafers, seed)
-        ids = [w.id for w in train + val + test]
-        assert sorted(ids, key=lambda x: x.processing_id) == sorted(
-            (w.id for w in wafers), key=lambda x: x.processing_id)
-        assert len(set(ids)) == n  # no wafer lands in two splits
+        train, val, test = split_train_val_test(n, seed)
+        # every wafer lands in exactly one split
+        assert sorted(np.concatenate([train, val, test])) == list(range(n))
         assert len(val) == (2 * n) // 10
         assert len(test) == n // 10
 
@@ -103,27 +92,26 @@ class TestSplit:
 METROLOGY_HEADER = ",".join(ingest.METROLOGY_COLUMNS)
 
 
+def metrology(tmp_path, *rows):
+    return load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
+
+
 class TestMetrology:
     def test_monitor_flag_from_kqi_marker(self, tmp_path):
-        rows = [
-            f"P1,W1,KQI-MON-1,TYPE-1,STG-1,EQ-1,PR-1,19.3292,PASS,NONE,,",
-            f"P1,W1,KQI-1,TYPE-1,STG-1,EQ-1,PR-1,19.3292,PASS,NONE,,",
-        ]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
+        table = metrology(tmp_path, "P1,W1,KQI-MON-1,TYPE-1,STG-1,EQ-1,PR-1,19.3292,PASS,NONE,,",
+                          "P1,W1,KQI-1,TYPE-1,STG-1,EQ-1,PR-1,19.3292,PASS,NONE,,")
         records = ingest.parse_metrology_table(table, monitor_marker="MON")
-        assert [m.is_monitor for m in records] == [True, False]
-        assert [m.kqi for m in records if m.is_monitor] == ["KQI-MON-1"]
-        assert [m.kqi for m in records if not m.is_monitor] == ["KQI-1"]
+        assert records.is_monitor.tolist() == [True, False]
+        assert records.kqi[records.is_monitor].tolist() == ["KQI-MON-1"]
+        assert records.kqi[~records.is_monitor].tolist() == ["KQI-1"]
 
     def test_inverted_targ_row_skipped(self, tmp_path):
-        rows = ["P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,9.0,2.0"]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
-        assert ingest.parse_metrology_table(table) == []
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,9.0,2.0")
+        assert len(ingest.parse_metrology_table(table)) == 0
 
     def test_missing_meas_med_skipped(self, tmp_path):
-        rows = ["P1,W1,KQI-1,T,S,E,R,,PASS,NONE,,"]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
-        assert ingest.parse_metrology_table(table) == []
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,,PASS,NONE,,")
+        assert len(ingest.parse_metrology_table(table)) == 0
 
 
 class TestSensorParsing:
@@ -135,11 +123,26 @@ class TestSensorParsing:
         )
         table = load_table(write(tmp_path, text))
         steps = ingest.parse_sensor_table(table, categorical_columns=["cat"])
-        wafer_steps = steps[WaferId("P1", "W1")]
-        assert [s.timestamp.minute for s in wafer_steps] == [0, 10]
-        assert wafer_steps[1].numeric_readings == (5.0, None)
-        assert wafer_steps[0].categorical_readings == ("B",)
-        assert ingest.sensor_numeric_columns(table, ["cat"]) == ["s0", "s1"]
+        assert steps.wafer_id(0) == ("P1", "W1")
+        assert (steps.time_us[1] - steps.time_us[0]) // 60_000_000 == 10
+        assert np.array_equal(steps.numeric[1, :2], [5.0, np.nan], equal_nan=True)
+        assert steps.categorical[0].tolist() == ["B"]
+        assert steps.numeric_names == ("s0", "s1")
+
+    def test_offset_timestamps_order_by_instant_and_featurize_by_wall_clock(self, tmp_path):
+        text = ("processing_id,product_id,timestamp,s0\n"
+                "P1,W1,2022-01-01T06:00:00+05:00,1\n"   # 01:00 UTC
+                "P1,W1,2022-01-01T03:00:00+00:00,2\n")  # 03:00 UTC
+        steps = ingest.parse_sensor_table(load_table(write(tmp_path, text)), [])
+        assert steps.numeric[:, 0].tolist() == [1.0, 2.0]
+        assert steps.numeric[:, 1].tolist() == [0.25, 0.125]  # 06:00 and 03:00 wall clock
+
+    def test_offset_and_naive_timestamps_mixed_rejected(self, tmp_path):
+        text = ("processing_id,product_id,timestamp,s0\n"
+                "P1,W1,2022-01-01T06:00:00+05:00,1\n"
+                "P2,W1,2022-01-01T03:00:00,2\n")
+        with pytest.raises(IngestError, match="with and without a UTC offset"):
+            ingest.parse_sensor_table(load_table(write(tmp_path, text)), [])
 
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "NaN"])
     def test_non_finite_sensor_cell_names_its_column(self, tmp_path, cell):
@@ -150,18 +153,16 @@ class TestSensorParsing:
 
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     def test_non_finite_measurement_rejected(self, tmp_path, cell):
-        rows = [f"P1,W1,KQI-1,T,S,E,R,{cell},PASS,NONE,,"]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
+        table = metrology(tmp_path, f"P1,W1,KQI-1,T,S,E,R,{cell},PASS,NONE,,")
         with pytest.raises(IngestError, match="meas_med: not a finite number"):
             ingest.parse_metrology_table(table)
 
     def test_assemble_drops_measurementless_wafers(self, tmp_path):
-        steps = {
-            WaferId("P1", "W1"): [SensorTimeStep(datetime(2022, 1, 1), (1.0,), ())],
-            WaferId("P1", "W2"): [SensorTimeStep(datetime(2022, 1, 1), (1.0,), ())],
-        }
-        rows = ["P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,,"]
-        table = load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
-        wafers = ingest.assemble_wafers(steps, ingest.parse_metrology_table(table))
-        assert [w.id for w in wafers] == [WaferId("P1", "W1")]
+        text = ("processing_id,product_id,timestamp,s0\n"
+                "P1,W1,2022-01-01T00:00:00,1\n"
+                "P1,W2,2022-01-01T00:00:00,1\n")
+        steps = ingest.parse_sensor_table(load_table(write(tmp_path, text, "s.csv")), [])
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,,")
+        wafers = list(ingest.assemble_wafers(steps, ingest.parse_metrology_table(table)))
+        assert [w.id for w in wafers] == [("P1", "W1")]
         assert len(wafers[0].measurements) == 1

@@ -1,13 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wafersense.domain import (
-    Inspection,
-    LimitSource,
-    MeasurementRecord,
-    PassFail,
-    WaferId,
-)
+from wafersense.domain import LimitSource
 from wafersense.normgroups import (
     NormalizationGroup,
     build_groups,
@@ -18,14 +13,21 @@ from wafersense.normgroups import (
     write_groups_csv,
 )
 
+from conftest import measurement_table
 
-def meas(targ=None, key=("K", "T", "S")) -> MeasurementRecord:
-    targ_min, targ_max = targ if targ else (None, None)
-    return MeasurementRecord(
-        id=WaferId("P", "W"), kqi=key[0], mtype=key[1], stage=key[2],
-        equipid="E", prod="R", meas_med=5.0, passfail=PassFail.PASS,
-        inspection=Inspection.NONE, targ_min=targ_min, targ_max=targ_max,
-        is_monitor=False)
+
+def meas(targ=None, key=("K", "T", "S")) -> dict:
+    targ_min, targ_max = targ if targ else (np.nan, np.nan)
+    return dict(kqi=key[0], mtype=key[1], stage=key[2], targ_min=targ_min, targ_max=targ_max)
+
+
+def resolve(m: dict, fallback):
+    limits = resolve_control_limits(measurement_table(m), fallback)
+    return limits.lcl[0], limits.ucl[0], limits.source[0]
+
+
+def groups_of(*measurements: dict):
+    return build_groups(measurement_table(*measurements), {})
 
 
 FALLBACK = {("K", "T", "S"): (0.0, 10.0)}
@@ -33,49 +35,42 @@ FALLBACK = {("K", "T", "S"): (0.0, 10.0)}
 
 class TestResolve:
     def test_targ_preferred_over_fallback(self):
-        limits = resolve_control_limits(meas(targ=(2.0, 8.0)), FALLBACK)
-        assert (limits.lcl, limits.ucl, limits.source) == (2.0, 8.0, LimitSource.TARG)
+        assert resolve(meas(targ=(2.0, 8.0)), FALLBACK) == (2.0, 8.0, LimitSource.TARG)
 
     def test_fallback_used_when_targ_missing(self):
-        limits = resolve_control_limits(meas(), FALLBACK)
-        assert (limits.lcl, limits.ucl, limits.source) == (0.0, 10.0, LimitSource.LCL_UCL)
+        assert resolve(meas(), FALLBACK) == (0.0, 10.0, LimitSource.LCL_UCL)
 
     def test_none_when_both_missing(self):
-        assert resolve_control_limits(meas(), {}) is None
+        lcl, ucl, source = resolve(meas(), {})
+        assert np.isnan(lcl) and np.isnan(ucl) and source == ""
 
     def test_partial_targ_pair_falls_back(self):
-        from dataclasses import replace
-
-        m = replace(meas(), targ_min=2.0)
-        limits = resolve_control_limits(m, FALLBACK)
-        assert limits.source is LimitSource.LCL_UCL
+        m = dict(meas(), targ_min=2.0)
+        assert resolve(m, FALLBACK)[2] == LimitSource.LCL_UCL
 
 
 class TestBuildGroups:
     def test_narrowest_pair_wins(self):
-        groups = build_groups(
-            [meas(targ=(0.0, 10.0)), meas(targ=(2.0, 8.0))], {})
+        groups = groups_of(meas(targ=(0.0, 10.0)), meas(targ=(2.0, 8.0)))
         assert (groups[("K", "T", "S")].b1, groups[("K", "T", "S")].b2) == (2.0, 8.0)
 
     def test_single_pair(self):
-        groups = build_groups([meas(targ=(0.0, 10.0))], {})
+        groups = groups_of(meas(targ=(0.0, 10.0)))
         assert (groups[("K", "T", "S")].b1, groups[("K", "T", "S")].b2) == (0.0, 10.0)
 
     def test_tie_breaks_to_smallest_b1(self):
-        groups = build_groups([meas(targ=(1.0, 5.0)), meas(targ=(0.0, 4.0))], {})
+        groups = groups_of(meas(targ=(1.0, 5.0)), meas(targ=(0.0, 4.0)))
         assert (groups[("K", "T", "S")].b1, groups[("K", "T", "S")].b2) == (0.0, 4.0)
 
     def test_unresolvable_keys_excluded(self):
-        assert build_groups([meas()], {}) == {}
+        assert groups_of(meas()) == {}
 
     def test_degenerate_width_skipped(self):
-        groups = build_groups(
-            [meas(targ=(5.0, 5.0 + 1e-12)), meas(targ=(0.0, 10.0))], {})
+        groups = groups_of(meas(targ=(5.0, 5.0 + 1e-12)), meas(targ=(0.0, 10.0)))
         assert (groups[("K", "T", "S")].b1, groups[("K", "T", "S")].b2) == (0.0, 10.0)
 
     def test_keys_are_independent(self):
-        groups = build_groups(
-            [meas(targ=(0.0, 4.0)), meas(targ=(1.0, 2.0), key=("K2", "T", "S"))], {})
+        groups = groups_of(meas(targ=(0.0, 4.0)), meas(targ=(1.0, 2.0), key=("K2", "T", "S")))
         assert len(groups) == 2
         assert groups[("K2", "T", "S")].b2 == 2.0
 
@@ -116,8 +111,7 @@ class TestTransformPair:
 
 
 def test_groups_csv_round_trip(tmp_path):
-    groups = build_groups(
-        [meas(targ=(0.0, 4.0)), meas(targ=(1.5, 2.25), key=("K2", "T2", "S2"))], {})
+    groups = groups_of(meas(targ=(0.0, 4.0)), meas(targ=(1.5, 2.25), key=("K2", "T2", "S2")))
     path = tmp_path / "groups.csv"
     write_groups_csv(path, groups)
     assert read_groups_csv(path) == groups

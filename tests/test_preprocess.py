@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wafersense.domain import (
-    Inspection,
-    MeasurementRecord,
-    PassFail,
-    SensorTimeStep,
-    WaferId,
-    WaferRecord,
-)
 from wafersense import preprocess as pp
+from wafersense.ingest import datetime_features
 from wafersense.train import TrainBucket, iter_epoch_batches
+
+from conftest import wafer_table, wall_us
+
+
+def features_of(timestamp: datetime) -> tuple[float, float]:
+    tod, doy = datetime_features(np.array([wall_us(timestamp)]))
+    return tod[0], doy[0]
 
 
 class TestDatetimeFeatures:
     def test_midnight_jan_first(self):
-        assert pp.datetime_features(datetime(2021, 1, 1, 0, 0, 0)) == (0.0, 0.0)
+        assert features_of(datetime(2021, 1, 1, 0, 0, 0)) == (0.0, 0.0)
 
     def test_noon(self):
-        tod, _ = pp.datetime_features(datetime(2021, 3, 5, 12, 0, 0))
+        tod, _ = features_of(datetime(2021, 3, 5, 12, 0, 0))
         assert tod == 0.5
 
     def test_mid_june_day_of_year(self):
         # June 15 is ordinal day 166 in a non-leap year
-        _, doy = pp.datetime_features(datetime(2022, 6, 15, 8, 30, 0))
+        _, doy = features_of(datetime(2022, 6, 15, 8, 30, 0))
         assert doy == 165 / 366
 
     def test_stays_below_one_on_leap_year_end(self):
-        _, doy = pp.datetime_features(datetime(2020, 12, 31, 23, 59, 59))
+        _, doy = features_of(datetime(2020, 12, 31, 23, 59, 59))
         assert 0.0 <= doy < 1.0
 
 
@@ -39,11 +39,11 @@ class TestDropDegenerate:
         assert pp.drop_degenerate_columns([[5.0, 5.0, 5.0]]) == []
 
     def test_all_missing_dropped(self):
-        assert pp.drop_degenerate_columns([[None, None]]) == []
+        assert pp.drop_degenerate_columns([["", ""]]) == []
         assert pp.drop_degenerate_columns([[float("nan"), float("nan")]]) == []
 
     def test_varying_with_missing_kept(self):
-        assert pp.drop_degenerate_columns([[1.0, None, 2.0]]) == [0]
+        assert pp.drop_degenerate_columns([[1.0, float("nan"), 2.0]]) == [0]
 
     def test_categorical_columns(self):
         cols = [["A", "A", "A"], ["A", "B", "A"], ["", "", ""]]
@@ -89,52 +89,54 @@ class TestImpute:
             pp.FittedImputer.fit(np.array([[np.nan], [np.nan]]))
 
 
-def meas(value: float, wid=WaferId("P", "W")) -> MeasurementRecord:
-    return MeasurementRecord(
-        id=wid, kqi="K", mtype="T", stage="S", equipid="E", prod="R",
-        meas_med=value, passfail=PassFail.PASS, inspection=Inspection.NONE,
-        targ_min=None, targ_max=None, is_monitor=False)
+def outlier_kept(*values: float) -> list[float]:
+    """meas_med values the outlier filter keeps, of one training wafer."""
+    table = wafer_table([(("P", "W"), [(datetime(2022, 1, 1), (1.0, 2.0, 3.0), ("A", "X"))],
+                          [dict(meas_med=v) for v in values])])
+    return pp.filter_outlier_targets(table, np.array([0])).measurements.meas_med.tolist()
 
 
 class TestOutlierFilter:
     def test_high_outlier_dropped(self):
-        assert pp.filter_outlier_targets([meas(1500.0)]) == []
+        assert outlier_kept(1500.0) == []
 
     def test_boundaries_kept(self):
-        kept = pp.filter_outlier_targets([meas(1000.0), meas(-1.0)])
-        assert [m.meas_med for m in kept] == [1000.0, -1.0]
+        assert outlier_kept(1000.0, -1.0) == [1000.0, -1.0]
 
     def test_just_outside_dropped(self):
-        assert pp.filter_outlier_targets([meas(-1.0001), meas(1000.0001)]) == []
+        assert outlier_kept(-1.0001, 1000.0001) == []
 
 
 class TestOneHot:
     def setup_method(self):
         self.vocab = pp.OneHotVocabulary.fit([["a", "b", "c", "b"]])
 
+    def encode(self, label):
+        return self.vocab.encode(np.array([[label]], dtype=object))[0]
+
     def test_known_label(self):
-        assert np.array_equal(self.vocab.encode(0, "b"), [0, 1, 0, 0])
+        assert np.array_equal(self.encode("b"), [0, 1, 0, 0])
 
     def test_unseen_label_hits_unknown_slot(self):
-        assert np.array_equal(self.vocab.encode(0, "d"), [0, 0, 0, 1])
+        assert np.array_equal(self.encode("d"), [0, 0, 0, 1])
 
     def test_empty_label_hits_unknown_slot(self):
-        assert np.array_equal(self.vocab.encode(0, ""), [0, 0, 0, 1])
+        assert np.array_equal(self.encode(""), [0, 0, 0, 1])
 
     @given(st.text(max_size=3))
     def test_rows_sum_to_one(self, label):
-        assert self.vocab.encode(0, label).sum() == 1.0
+        assert self.encode(label).sum() == 1.0
 
 
 class TestJoin:
     def test_paper_width_two_steps(self):
         sample = pp.join_wafer(np.zeros((2, 267)), np.zeros(552), 1.0,
-                               WaferId("P", "W"), ("K", "T", "S"))
+                               ("P", "W"), ("K", "T", "S"))
         assert sample.features.shape == (1086,)
 
     def test_paper_width_five_steps(self):
         sample = pp.join_wafer(np.zeros((5, 267)), np.zeros(552), 1.0,
-                               WaferId("P", "W"), ("K", "T", "S"))
+                               ("P", "W"), ("K", "T", "S"))
         assert sample.features.shape == (1887,)
 
     @settings(max_examples=30)
@@ -143,7 +145,7 @@ class TestJoin:
         rng = np.random.default_rng(seed)
         steps = rng.normal(size=(n_steps, s))
         meas_row = rng.normal(size=m)
-        sample = pp.join_wafer(steps, meas_row, 0.0, WaferId("P", "W"), ("K", "T", "S"))
+        sample = pp.join_wafer(steps, meas_row, 0.0, ("P", "W"), ("K", "T", "S"))
         assert sample.features.shape == (n_steps * s + m,)
         # independent oracle: plain python list concatenation
         oracle = []
@@ -158,7 +160,7 @@ class TestJoin:
         rng = np.random.default_rng(seed)
         steps = rng.normal(size=(n_steps, s))
         meas_row = rng.normal(size=m)
-        sample = pp.join_wafer(steps, meas_row, 0.0, WaferId("P", "W"), ("K", "T", "S"))
+        sample = pp.join_wafer(steps, meas_row, 0.0, ("P", "W"), ("K", "T", "S"))
         back_steps, back_meas = pp.unjoin(sample.features, n_steps, s, m)
         assert np.array_equal(back_steps, steps)
         assert np.array_equal(back_meas, meas_row)
@@ -211,41 +213,31 @@ class TestBucketBatches:
         assert sorted(i for _, ids in batches for i in ids) == list(range(len(step_counts)))
 
 
-def build_wafers():
+def wafer_spec(i):
     base = datetime(2022, 3, 1, 6, 0, 0)
-    wafers = []
-    for i in range(6):
-        wid = WaferId(f"P{i}", f"W{i}")
-        steps = tuple(
-            SensorTimeStep(
-                timestamp=base + timedelta(hours=i, minutes=10 * t),
-                numeric_readings=(float(i + t), 5.0 if i else None, 7.0),
-                categorical_readings=("A" if i % 2 else "B", "X"),
-            )
-            for t in range(1 + i % 2)
-        )
-        measurements = (
-            MeasurementRecord(
-                id=wid, kqi=f"K{i % 2}", mtype="T", stage="S", equipid="E",
-                prod="R", meas_med=float(i), passfail=PassFail.PASS,
-                inspection=Inspection.NONE, targ_min=1.0, targ_max=9.0,
-                is_monitor=(i % 3 == 0)),
-        )
-        wafers.append(WaferRecord(wid, steps, measurements))
-    return wafers
+    steps = [(base + timedelta(hours=i, minutes=10 * t), (float(i + t), 5.0 if i else None, 7.0),
+              ("A" if i % 2 else "B", "X")) for t in range(1 + i % 2)]
+    meas = [dict(kqi=f"K{i % 2}", meas_med=float(i), targ_min=1.0, targ_max=9.0,
+                 is_monitor=i % 3 == 0)]
+    return (f"P{i}", f"W{i}"), steps, meas
+
+
+def build_wafers(*extra):
+    return wafer_table([wafer_spec(i) for i in range(6)] + list(extra))
+
+
+ALL = np.arange(6)
 
 
 class TestPipeline:
     def test_fit_apply_and_manifest_round_trip(self):
         wafers = build_wafers()
-        train_meas = [m for w in wafers for m in w.measurements]
-        pipeline = pp.fit_pipeline(wafers, train_meas,
-                                   numeric_names=["n0", "n1", "n2"],
-                                   sensor_cat_names=["c0", "c1"])
+        pipeline = pp.fit_pipeline(wafers, ALL)
         # n2 is constant 7.0 and c1 is constant "X": both dropped
         assert 2 not in pipeline.kept_numeric
         assert pipeline.kept_sensor_cat == (0,)
-        encoded = pipeline.encode_steps(wafers[0])
+        first = list(wafers)[0]
+        encoded = pipeline.encode_steps(first)
         assert encoded.shape == (1, pipeline.s_width)
         assert np.all(np.isfinite(encoded))
 
@@ -257,51 +249,31 @@ class TestPipeline:
                                       pipeline.encode_measurement(m))
 
     def test_fitted_transforms_are_frozen(self):
-        wafers = build_wafers()
-        train_meas = [m for w in wafers for m in w.measurements]
-        pipeline = pp.fit_pipeline(wafers[:4], train_meas,
-                                   numeric_names=["n0", "n1", "n2"],
-                                   sensor_cat_names=["c0", "c1"])
+        wafers = list(build_wafers())
+        pipeline = pp.fit_pipeline(wafers[0].table, ALL[:4])
         before = pipeline.encode_steps(wafers[5])
         pipeline.encode_steps(wafers[4])  # applying elsewhere must not refit
         assert np.array_equal(pipeline.encode_steps(wafers[5]), before)
 
     def test_two_steps_three_measurements_gives_three_samples(self):
-        wid = WaferId("P9", "W9")
         base = datetime(2022, 5, 1)
-        steps = tuple(
-            SensorTimeStep(base + timedelta(minutes=t), (float(t), 1.0 - t, 3.0), ("A", "X"))
-            for t in range(2)
-        )
-        measurements = tuple(
-            MeasurementRecord(
-                id=wid, kqi=f"K{j}", mtype="T", stage="S", equipid="E", prod="R",
-                meas_med=float(j), passfail=PassFail.PASS, inspection=Inspection.NONE,
-                targ_min=None, targ_max=None, is_monitor=False)
-            for j in range(3)
-        )
-        wafer = WaferRecord(wid, steps, measurements)
-        helpers = build_wafers()
-        pipeline = pp.fit_pipeline(helpers + [wafer],
-                                   [m for w in helpers for m in w.measurements]
-                                   + list(measurements),
-                                   numeric_names=["n0", "n1", "n2"],
-                                   sensor_cat_names=["c0", "c1"])
-        buckets = pp.build_buckets([wafer], pipeline, {}, monitor_stream=False)
+        steps = [(base + timedelta(minutes=t), (float(t), 1.0 - t, 3.0), ("A", "X"))
+                 for t in range(2)]
+        measurements = [dict(kqi=f"K{j}", meas_med=float(j)) for j in range(3)]
+        wafers = build_wafers((("P9", "W9"), steps, measurements))
+        pipeline = pp.fit_pipeline(wafers, np.arange(7))
+        buckets = pp.build_buckets(wafers, np.array([6]), pipeline, {}, monitor_stream=False)
         assert list(buckets) == [2]
         assert len(buckets[2]) == 3
 
     def test_build_buckets_streams_and_metadata(self):
         wafers = build_wafers()
-        train_meas = [m for w in wafers for m in w.measurements]
-        pipeline = pp.fit_pipeline(wafers, train_meas,
-                                   numeric_names=["n0", "n1", "n2"],
-                                   sensor_cat_names=["c0", "c1"])
+        pipeline = pp.fit_pipeline(wafers, ALL)
         limits = {("K0", "T", "S"): (0.0, 10.0), ("K1", "T", "S"): (0.0, 10.0)}
-        non_mon = pp.build_buckets(wafers, pipeline, limits, monitor_stream=False)
-        mon = pp.build_buckets(wafers, pipeline, limits, monitor_stream=True)
+        non_mon = pp.build_buckets(wafers, ALL, pipeline, limits, monitor_stream=False)
+        mon = pp.build_buckets(wafers, ALL, pipeline, limits, monitor_stream=True)
         total = sum(len(b) for b in non_mon.values()) + sum(len(b) for b in mon.values())
-        assert total == len(train_meas)
+        assert total == len(wafers.measurements)
         bucket = next(iter(non_mon.values()))
         # targ pair present, so limits resolve from it
         assert set(bucket.limit_source) == {"TARG"}
@@ -311,11 +283,8 @@ class TestPipeline:
 
     def test_bucket_save_load_round_trip(self, tmp_path):
         wafers = build_wafers()
-        train_meas = [m for w in wafers for m in w.measurements]
-        pipeline = pp.fit_pipeline(wafers, train_meas,
-                                   numeric_names=["n0", "n1", "n2"],
-                                   sensor_cat_names=["c0", "c1"])
-        buckets = pp.build_buckets(wafers, pipeline, {}, monitor_stream=False)
+        pipeline = pp.fit_pipeline(wafers, ALL)
+        buckets = pp.build_buckets(wafers, ALL, pipeline, {}, monitor_stream=False)
         n, bucket = next(iter(buckets.items()))
         path = tmp_path / pp.bucket_filename("reg", "train", n)
         pp.save_bucket(path, bucket)

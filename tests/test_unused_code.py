@@ -1,4 +1,4 @@
-"""Every public module-level function and class of the package has a caller.
+"""Every public function, class, method and property of the package has a caller.
 
 A name counts as used when code under src/ refers to it outside its own
 definition, or when the acceptance suite or the benchmark under perfbench/
@@ -19,12 +19,14 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references(node: ast.AST, imports: bool = False, strings: bool = False) -> Counter:
-    """Names a node refers to: bare names and attributes, plus imported names
-    when ``imports`` is set and identifier-like strings when ``strings`` is."""
+def _references(node: ast.AST, imports: bool = False, strings: bool = False,
+                names: bool = True) -> Counter:
+    """Names a node refers to: attributes, and bare names unless ``names`` is
+    unset, plus imported names when ``imports`` is set and identifier-like
+    strings when ``strings`` is."""
     refs = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if names and isinstance(sub, ast.Name):
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
@@ -37,24 +39,39 @@ def _references(node: ast.AST, imports: bool = False, strings: bool = False) -> 
 
 
 def _public_definitions(trees: dict[Path, ast.Module]):
+    """(file, qualified name, node) of each public module-level function and
+    class, and of each public method and property of those classes."""
     for path, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not node.name.startswith("_"):
-                yield path, node
+                yield path, node.name, node
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                            yield path, f"{node.name}.{member.name}", member
 
 
 def test_every_public_name_is_used_outside_unit_tests():
     trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    # an import inside src/ is no use: the name must be called or read somewhere
-    in_src = sum((_references(tree) for tree in trees.values()), Counter())
-    outside = _references(_parse(ROOT / "tests" / "test_acceptance.py"), imports=True)
-    for path in sorted((ROOT / "perfbench").rglob("*.py")):
-        outside += _references(_parse(path), imports=True, strings=True)
+    acceptance = _parse(ROOT / "tests" / "test_acceptance.py")
+    benchmark = [_parse(path) for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    # a method or property is reached as an attribute: a bare name of the same
+    # spelling (a local variable, say) does not use it
+    uses = {}
+    for names in (True, False):
+        # an import inside src/ is no use: the name must be called or read somewhere
+        in_src = sum((_references(tree, names=names) for tree in trees.values()), Counter())
+        outside = _references(acceptance, imports=True, names=names)
+        for tree in benchmark:
+            outside += _references(tree, imports=True, strings=True, names=names)
+        uses[names] = in_src, outside
 
     unused = []
-    for path, node in _public_definitions(trees):
-        own = _references(node)[node.name]
+    for path, qualified, node in _public_definitions(trees):
+        names = "." not in qualified
+        in_src, outside = uses[names]
+        own = _references(node, names=names)[node.name]
         if in_src[node.name] - own <= 0 and not outside[node.name]:
-            unused.append(f"{path.name}:{node.lineno} {node.name}")
+            unused.append(f"{path.name}:{node.lineno} {qualified}")
     assert not unused, "referenced only by unit tests, or nowhere: " + ", ".join(unused)
