@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
+
 GATES = ("i", "f", "g", "o")      # order of the per-gate names and checkpoint arrays
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
 
@@ -276,7 +278,7 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: float) -> Model
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     header = dict(meta, arch=asdict(params.cfg), dtype=np.dtype(params.dtype).name)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(json.dumps(header, sort_keys=True)),
                  **dict(params.arrays()))
 

@@ -8,11 +8,17 @@ so predictions from an NL1 model must be mapped back before evaluation.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
 from .normgroups import GroupKey, NormalizationGroup, group_bounds
 from .preprocess import Bucket, unjoin
@@ -138,6 +144,10 @@ def make_train_buckets(
 # Elements per block of the Adam update: a block's operands and the two
 # scratch rows stay in cache (64k measured fastest of 4k to 256k).
 ADAM_BLOCK = 65_536
+# Fewest blocks per Adam worker thread. A smaller update runs serially: the
+# small preset's 4 blocks gain nothing from a second thread, while the large
+# preset's 226 blocks split over two cores.
+MIN_BLOCKS_PER_WORKER = 16
 # Every this many steps, second moments below the smallest normal float and
 # first moments below it divided by the learning rate are zeroed: those of
 # weights whose gradient stays zero decay towards subnormals, and a subnormal
@@ -150,38 +160,81 @@ FLUSH_EVERY = 32
 class AdamState:
     m: np.ndarray        # moments, one entry per element of ModelParams.flat
     v: np.ndarray
-    scratch: np.ndarray  # (2, block) work space of adam_step
+    scratch: np.ndarray  # (workers, 2, block) work space of adam_step, one slab per worker
 
 
-def init_adam_state(params: ModelParams) -> AdamState:
+def init_adam_state(params: ModelParams, workers: int = 1) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
-                     scratch=np.empty((2, min(ADAM_BLOCK, params.size())), params.dtype))
+                     scratch=np.empty((workers, 2, min(ADAM_BLOCK, params.size())),
+                                      params.dtype))
+
+
+def adam_workers(n_params: int) -> int:
+    """Threads for the Adam update of ``n_params`` elements: one per core this
+    process may run on, each with at least MIN_BLOCKS_PER_WORKER blocks."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_blocks = -(-n_params // ADAM_BLOCK)
+    return max(1, min(cores or 1, n_blocks // MIN_BLOCKS_PER_WORKER))
+
+
+@functools.cache
+def _blas_park():
+    """OpenBLAS's ``blas_thread_shutdown_`` from the library numpy loaded, or None.
+
+    After a threaded matrix product, OpenBLAS's idle workers spin for a long
+    while and hold the other cores. Shutting them down frees those cores for
+    the Adam workers; the next threaded product starts them again.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "blas_thread_shutdown_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn
+    return None
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              t: int, cfg: TrainConfig):
+              t: int, cfg: TrainConfig, pool: ThreadPoolExecutor | None = None):
     """Standard Adam update with bias correction (Kingma & Ba, arXiv:1412.6980),
-    in place and block by block; mutates params and state."""
+    in place and block by block; mutates params and state.
+
+    The blocks are split into one contiguous range per scratch slab of
+    ``state``. With more than one slab, ``pool`` updates the ranges in
+    parallel, after OpenBLAS's spinning threads are parked. Every element gets
+    the same arithmetic whatever the split, so the split never changes a byte.
+    """
     b1, b2 = cfg.beta1, cfg.beta2
     bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     flush, tiny = t % FLUSH_EVERY == 0, np.finfo(params.dtype).tiny
-    for start in range(0, params.size(), ADAM_BLOCK):
-        sl = slice(start, start + ADAM_BLOCK)
-        p, g, m, v = params.flat[sl], grads.flat[sl], state.m[sl], state.v[sl]
-        x, y = state.scratch[:, : len(p)]
-        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=x)
-        v *= b2
-        v += np.multiply(np.multiply(g, g, out=x), 1.0 - b2, out=x)
-        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-        np.multiply(np.divide(m, bc1, out=y), cfg.learning_rate, out=y)
-        np.sqrt(np.divide(v, bc2, out=x), out=x)
-        x += cfg.eps
-        p -= np.divide(y, x, out=y)
-        if flush:
-            m[np.abs(m, out=x) < tiny / cfg.learning_rate] = 0.0
-            v[np.abs(v, out=x) < tiny] = 0.0
+    n_blocks, workers = -(-params.size() // ADAM_BLOCK), len(state.scratch)
+
+    def update(worker: int) -> None:
+        for block in range(worker * n_blocks // workers, (worker + 1) * n_blocks // workers):
+            sl = slice(block * ADAM_BLOCK, (block + 1) * ADAM_BLOCK)
+            p, g, m, v = params.flat[sl], grads.flat[sl], state.m[sl], state.v[sl]
+            x, y = state.scratch[worker, :, : len(p)]
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=x)
+            v *= b2
+            v += np.multiply(np.multiply(g, g, out=x), 1.0 - b2, out=x)
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=y), cfg.learning_rate, out=y)
+            np.sqrt(np.divide(v, bc2, out=x), out=x)
+            x += cfg.eps
+            p -= np.divide(y, x, out=y)
+            if flush:
+                m[np.abs(m, out=x) < tiny / cfg.learning_rate] = 0.0
+                v[np.abs(v, out=x) < tiny] = 0.0
+
+    if workers == 1:
+        update(0)
+    else:
+        park = _blas_park()
+        if park is not None:
+            park()
+        list(pool.map(update, range(workers)))
     return params, state
 
 
@@ -262,45 +315,49 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
         raise TrainingDiverged("need at least one train and one val batch")
     loss_fn = make_loss_fn(cfg)
     params = init_params(arch, cfg.seed)
-    state = init_adam_state(params)
+    workers = adam_workers(params.size())
+    state = init_adam_state(params, workers)
     grads = ModelParams(arch, np.empty_like(params.flat))  # backward_batch overwrites it
     best_params = params.copy()
     stopper = EarlyStopper(cfg.patience)
     history: list[EpochStats] = []
     t = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        train_sum, train_count = 0.0, 0
-        for steps, meas, target, b1, b2 in iter_epoch_batches(
-            train_buckets, cfg.batch_size, cfg.seed, epoch
-        ):
-            preds, trace = forward_batch(params, steps, meas)
-            losses, dpred = loss_fn.values_and_grads(preds, target, b1, b2)
-            if not np.all(np.isfinite(losses)):
-                raise TrainingDiverged(
-                    f"non-finite training loss at epoch {epoch} (step {t + 1})"
-                )
-            t += 1
-            upstream = dpred / len(losses)  # batch loss is the sample mean
-            backward_batch(params, trace, upstream, out=grads)
-            adam_step(params, grads, state, t, cfg)
-            train_sum += float(losses.sum())
-            train_count += len(losses)
-        val_loss = dataset_loss(params, val_buckets, loss_fn)
-        if not np.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-        is_best, should_stop = stopper.update(val_loss)
-        if is_best:
-            best_params = params.copy()
-        history.append(EpochStats(epoch, train_sum / train_count, val_loss, is_best))
-        log.info("epoch %d: train %.6f val %.6f%s", epoch, train_sum / train_count,
-                 val_loss, " *" if is_best else "")
-        if should_stop:
-            break
+    log.info("adam: %d worker thread%s, OpenBLAS park hook %s", workers,
+             "" if workers == 1 else "s", "found" if _blas_park() else "not found")
+    with ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool:
+        for epoch in range(1, cfg.max_epochs + 1):
+            train_sum, train_count = 0.0, 0
+            for steps, meas, target, b1, b2 in iter_epoch_batches(
+                train_buckets, cfg.batch_size, cfg.seed, epoch
+            ):
+                preds, trace = forward_batch(params, steps, meas)
+                losses, dpred = loss_fn.values_and_grads(preds, target, b1, b2)
+                if not np.all(np.isfinite(losses)):
+                    raise TrainingDiverged(
+                        f"non-finite training loss at epoch {epoch} (step {t + 1})"
+                    )
+                t += 1
+                upstream = dpred / len(losses)  # batch loss is the sample mean
+                backward_batch(params, trace, upstream, out=grads)
+                adam_step(params, grads, state, t, cfg, pool)
+                train_sum += float(losses.sum())
+                train_count += len(losses)
+            val_loss = dataset_loss(params, val_buckets, loss_fn)
+            if not np.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            is_best, should_stop = stopper.update(val_loss)
+            if is_best:
+                best_params = params.copy()
+            history.append(EpochStats(epoch, train_sum / train_count, val_loss, is_best))
+            log.info("epoch %d: train %.6f val %.6f%s", epoch, train_sum / train_count,
+                     val_loss, " *" if is_best else "")
+            if should_stop:
+                break
     return best_params, history
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss", "is_best"])
         for row in history:

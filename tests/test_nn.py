@@ -253,6 +253,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_params(TINY, seed=5), {"loss": "re"})
+        before = path.read_bytes()
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(TINY, seed=6), {"loss": "re"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
 
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))

@@ -1,6 +1,13 @@
+import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from wafersense import train
 
 from wafersense.nn import ArchConfig, ModelParams, init_params
 from wafersense.normgroups import NormalizationGroup, normalize_target
@@ -27,7 +34,7 @@ from wafersense.train import (
     write_history_csv,
 )
 
-from conftest import zeros_like_params
+from conftest import TINY_CONFIG, run_cli, write_config, zeros_like_params
 
 GROUP = NormalizationGroup(("K", "T", "S"), b1=0.0, b2=10.0)
 
@@ -145,40 +152,54 @@ class TestAdam:
         assert np.allclose(state.m[emb_w], 0.9)
         assert np.allclose(state.v[emb_w], 0.999)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_blocked_step_equals_per_array_formula(self, dtype):
-        # several blocks plus a ragged tail, checked bit for bit against the
-        # per-array update written out in full
+    def test_blocked_step_equals_per_array_formula(self, dtype, workers):
+        # several blocks plus a ragged tail, split over the workers, checked bit
+        # for bit against the per-array update written out in full; the last
+        # step flushes, with a flushable moment in every block
         params = init_params(ArchConfig(sensor_dim=7, meas_dim=3, d=100, mlp_hidden=300),
                              seed=0, dtype=dtype)
-        assert params.size() > 2 * ADAM_BLOCK and params.size() % ADAM_BLOCK
+        n_blocks = -(-params.size() // ADAM_BLOCK)
+        assert n_blocks >= 3 and params.size() % ADAM_BLOCK
         cfg = TrainConfig(learning_rate=1e-3)
-        ref = {name: arr.copy() for name, arr in params.arrays()}
-        ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
-        ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
-        state = init_adam_state(params)
+        tiny = np.finfo(dtype).tiny
+        ref, ref_m, ref_v = params.copy(), zeros_like_params(params), zeros_like_params(params)
+        state = init_adam_state(params, workers)
         grads = zeros_like_params(params)
+        flushed = np.arange(n_blocks) * ADAM_BLOCK + 7
         rng = np.random.default_rng(0)
-        for t in range(1, 6):
-            grads.flat[:] = rng.normal(0.0, 1e-3, size=grads.size())
-            grads.flat[rng.random(grads.size()) < 0.1] = 0.0
-            adam_step(params, grads, state, t=t, cfg=cfg)
-            b1, b2 = cfg.beta1, cfg.beta2
-            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for name, arr in ref.items():
-                g, m, v = getattr(grads, name), ref_m[name], ref_v[name]
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * (g * g)
-                arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            for name, arr in params.arrays():
-                assert arr.dtype == dtype
-                assert np.array_equal(arr, ref[name]), (t, name)
-            m, v = ModelParams(params.cfg, state.m), ModelParams(params.cfg, state.v)
-            for name in ref:
-                assert np.array_equal(getattr(m, name), ref_m[name]), (t, name)
-                assert np.array_equal(getattr(v, name), ref_v[name]), (t, name)
+        with ThreadPoolExecutor(workers) as pool:
+            for t in (1, 2, 3, 4, 5, FLUSH_EVERY):
+                grads.flat[:] = rng.normal(0.0, 1e-3, size=grads.size())
+                grads.flat[rng.random(grads.size()) < 0.1] = 0.0
+                if t == FLUSH_EVERY:
+                    # after one decay these moments sit below the flush floors
+                    grads.flat[flushed] = 0.0
+                    for m, v in ((state.m, state.v), (ref_m.flat, ref_v.flat)):
+                        m[flushed] = tiny / cfg.learning_rate
+                        v[flushed] = tiny
+                adam_step(params, grads, state, t=t, cfg=cfg, pool=pool)
+                b1, b2 = cfg.beta1, cfg.beta2
+                bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                for name, arr in ref.arrays():
+                    g, m, v = getattr(grads, name), getattr(ref_m, name), getattr(ref_v, name)
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * (g * g)
+                    arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+                    if t == FLUSH_EVERY:
+                        m[np.abs(m) < tiny / cfg.learning_rate] = 0.0
+                        v[np.abs(v) < tiny] = 0.0
+                for name, arr in params.arrays():
+                    assert arr.dtype == dtype
+                    assert np.array_equal(arr, getattr(ref, name)), (t, name)
+                m, v = ModelParams(params.cfg, state.m), ModelParams(params.cfg, state.v)
+                for name, _ in ref.arrays():
+                    assert np.array_equal(getattr(m, name), getattr(ref_m, name)), (t, name)
+                    assert np.array_equal(getattr(v, name), getattr(ref_v, name)), (t, name)
+        assert not state.m[flushed].any() and not state.v[flushed].any()
 
     def test_subnormal_moments_flushed_every_flush_steps(self):
         params = init_params(TINY_ARCH, seed=0)
@@ -229,6 +250,92 @@ class TestAdam:
         assert h1 == h2
         for (_, a), (_, b) in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
+
+
+def force_adam_workers(monkeypatch, workers):
+    """Make fit split Adam over ``workers`` threads whatever the machine's cores."""
+    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    monkeypatch.setattr(train, "MIN_BLOCKS_PER_WORKER", 1)
+
+
+class TestAdamWorkers:
+    def test_worker_count_follows_blocks_and_cores(self, monkeypatch):
+        monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert train.adam_workers(241_281) == 1  # the small preset on criterion-6 data
+        assert train.adam_workers(14_775_297) == 2  # the large preset on train_large_nl1 data
+        assert train.adam_workers(1) == 1
+
+    def test_large_preset_files_do_not_depend_on_workers(self, tiny_run, tmp_path,
+                                                         monkeypatch, caplog):
+        # real threaded products of the large preset run between the parked
+        # updates; pooled and serial runs must write the same bytes
+        caplog.set_level(logging.INFO, logger=train.__name__)
+        cfg = write_config(tmp_path, TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        outputs = []
+        for workers in (2, 1):
+            force_adam_workers(monkeypatch, workers)
+            out = tmp_path / f"workers{workers}" / "model.npz"
+            out.parent.mkdir()
+            caplog.clear()
+            assert run_cli("train", "--config", cfg, "--features", tiny_run["features"],
+                           "--out", out, "--arch", "large") == 0
+            assert f"adam: {workers} worker thread" in caplog.text
+            outputs.append((out.read_bytes(), (out.parent / "model_history.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_many_workers_with_fast_thread_switches_match_serial(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: an
+        # update lost or applied twice would break the bit-for-bit match
+        monkeypatch.setattr(train, "ADAM_BLOCK", 16)  # 16 blocks for TINY_ARCH
+        cfg = TrainConfig(learning_rate=1e-3)
+        size = init_params(TINY_ARCH, seed=0).size()
+        grad_steps = np.random.default_rng(0).normal(0.0, 1e-3, (40, size)).astype(np.float32)
+        results = {}
+
+        def train_steps(workers):
+            params = init_params(TINY_ARCH, seed=0)
+            state = init_adam_state(params, workers)
+            with ThreadPoolExecutor(workers) as pool:
+                for t, g in enumerate(grad_steps, start=1):
+                    adam_step(params, ModelParams(TINY_ARCH, g), state, t, cfg, pool)
+            results[workers] = (params.flat, state.m, state.v)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                runner = threading.Thread(target=train_steps, args=(workers,))
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(np.array_equal(a, b) for a, b in zip(results[1], results[8]))
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_pool_threads_do_not_outlive_fit(self, monkeypatch, diverge):
+        monkeypatch.setattr(train, "ADAM_BLOCK", 64)  # 4 blocks for TINY_ARCH
+        force_adam_workers(monkeypatch, 2)
+        during = []
+
+        def counting_adam_step(*args, **kwargs):
+            during.append(threading.active_count())
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(train, "adam_step", counting_adam_step)
+        val = toy_bucket(seed=9)
+        if diverge:
+            val.target[0] = np.nan  # epoch 1 trains, then its validation loss is NaN
+        before = threading.active_count()
+        cfg = TrainConfig(max_epochs=2, patience=5, seed=0, batch_size=4)
+        if diverge:
+            with pytest.raises(TrainingDiverged, match="validation"):
+                fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+        else:
+            fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+        assert max(during) > before  # the pool's threads did run
+        assert threading.active_count() == before
 
 
 class TestEarlyStopper:
@@ -344,3 +451,18 @@ def test_history_csv(tmp_path):
     assert lines[0] == "epoch,train_loss,val_loss,is_best"
     assert lines[1] == "1,1.0,2.0,1"
     assert lines[2] == "2,0.5,2.5,0"
+
+
+def test_failed_history_write_keeps_earlier_file(tmp_path):
+    class Unprintable(float):
+        def __repr__(self):
+            raise OSError("disk full")
+
+    path = tmp_path / "history.csv"
+    write_history_csv(path, [EpochStats(1, 1.0, 2.0, True)])
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write_history_csv(path, [EpochStats(1, 1.0, 2.0, True),
+                                 EpochStats(2, Unprintable(0.5), 2.5, False)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
