@@ -234,8 +234,10 @@ def cmd_generate(args) -> int:
     synth_cfg = cfg.synth_config(seed_override=args.seed)
     out_dir = cfg.path("data_dir", args.out)
     result = synthgen.generate(synth_cfg, out_dir)
-    _status(f"sensor rows:    {result.n_sensor_rows} -> {result.sensor_path}")
-    _status(f"metrology rows: {result.n_metrology_rows} -> {result.metrology_path}")
+    _status(f"sensor rows:    {result.n_sensor_rows} ({result.n_sensor_duplicates} "
+            f"verbatim duplicates) -> {result.sensor_path}")
+    _status(f"metrology rows: {result.n_metrology_rows} ({result.n_metrology_duplicates} "
+            f"verbatim duplicates) -> {result.metrology_path}")
     _status(f"limit rows:     {result.n_limit_rows} -> {result.limits_path}")
     _status(f"truth manifest: {result.manifest_path}")
     return 0

@@ -27,13 +27,15 @@ Mechanism (all coefficients land in the ground-truth manifest):
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_open
 
 DEFAULT_STEP_WEIGHTS = {1: 0.1, 2: 0.35, 3: 0.35, 4: 0.1, 5: 0.1}
 
@@ -71,6 +73,17 @@ class SynthConfig:
             raise ValueError("n_wafers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for name in ("wafers_per_batch", "sensor_cat_vocab", "n_kqi", "n_type", "n_stage",
+                     "n_equip", "n_prod"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("n_numeric_sensors", "n_sensor_categoricals"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        n_combos = self.n_kqi * self.n_type * self.n_stage
+        if not 0 <= self.measurements_per_wafer <= n_combos:
+            raise ValueError(f"measurements_per_wafer must be in [0, n_kqi*n_type*n_stage "
+                             f"= {n_combos}]")
         if not set(self.step_weights) <= {1, 2, 3, 4, 5}:
             raise ValueError("step counts must lie in 1..5")
         if any(w < 0 for w in self.step_weights.values()):
@@ -79,6 +92,14 @@ class SynthConfig:
             raise ValueError("step weights must sum to 1")
         if not 0.0 <= self.fail_rate < 0.5:
             raise ValueError("fail_rate must be in [0, 0.5)")
+        for name in ("missing_cell_rate", "duplicate_row_rate", "targ_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be finite and >= 0")
+        lo, hi = self.group_offset_range
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError("group_offset_lo and group_offset_hi must be finite, lo <= hi")
 
     @property
     def numeric_columns(self) -> list[str]:
@@ -112,6 +133,8 @@ class SynthResult:
     n_sensor_rows: int
     n_metrology_rows: int
     n_limit_rows: int
+    n_sensor_duplicates: int      # rows written twice in a row, verbatim
+    n_metrology_duplicates: int
 
 
 def _fmt(x: float) -> str:
@@ -119,7 +142,11 @@ def _fmt(x: float) -> str:
 
 
 def generate(cfg: SynthConfig, out_dir) -> SynthResult:
-    """Write sensor.csv, metrology.csv, limits.csv and truth_manifest.json."""
+    """Write sensor.csv, metrology.csv, limits.csv and truth_manifest.json.
+
+    Rows are written batch by batch as they are made, beside their targets;
+    the four files replace what ``out_dir`` held only once all are complete.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
@@ -216,77 +243,21 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
             "ucl": center + half_width,
         }
 
-    # Phase 3: measurement values, labels, and CSV rows.
-    sensor_rows = []
-    metrology_rows = []
-    for batch in batches:
-        z = batch["wafers"][0]["signal"]
-        per_combo = {}
-        for combo in batch["combos"]:
-            gmap = group_maps[combo]
-            clean = gmap["slope"] * z + gmap["intercept"]
-            noise = float(rng.normal(0.0, cfg.noise_sd)) if cfg.noise_sd > 0 else 0.0
-            if clean > gmap["ucl"]:
-                passfail = "FAIL_AVG_HI"
-            elif clean < gmap["lcl"]:
-                passfail = "FAIL_AVG_LOW"
-            else:
-                passfail = "PASS"
-            per_combo[combo] = (clean + noise, passfail, gmap)
-        for w_idx, wafer in enumerate(batch["wafers"]):
-            prod = f"PROD-{int(rng.integers(cfg.n_prod)) + 1}"
-            for t, ts in enumerate(wafer["timestamps"]):
-                cells = [batch["processing_id"], wafer["product_id"], ts.isoformat()]
-                for v in wafer["numeric"][t]:
-                    cells.append("" if rng.random() < cfg.missing_cell_rate else _fmt(v))
-                for col in range(cfg.n_sensor_categoricals):
-                    cells.append(f"CAT{col}-L{int(wafer['cat_labels'][t, col])}")
-                sensor_rows.append(cells)
-                if rng.random() < cfg.duplicate_row_rate:
-                    sensor_rows.append(list(cells))
-            for combo, (value, passfail, gmap) in per_combo.items():
-                kqi_label = combo[0] if w_idx > 0 else combo[0].replace("KQI-", "KQI-MON-")
-                if passfail == "PASS":
-                    inspection = "OTHER" if rng.random() < 0.02 else "NONE"
-                else:
-                    if rng.random() < INSPECTED_FAIL_RATE:
-                        inspection = "REWORK" if rng.random() < 0.5 else "SCRAP"
-                    else:
-                        inspection = "NONE"
-                has_targ = rng.random() < cfg.targ_rate
-                cells = [
-                    batch["processing_id"], wafer["product_id"], kqi_label,
-                    combo[1], combo[2], batch["equip"], prod, _fmt(value),
-                    passfail, inspection,
-                    _fmt(gmap["lcl"]) if has_targ else "",
-                    _fmt(gmap["ucl"]) if has_targ else "",
-                ]
-                metrology_rows.append(cells)
-                if rng.random() < cfg.duplicate_row_rate:
-                    metrology_rows.append(list(cells))
-
     sensor_path = out_dir / "sensor.csv"
     metrology_path = out_dir / "metrology.csv"
     limits_path = out_dir / "limits.csv"
     manifest_path = out_dir / "truth_manifest.json"
-
     sensor_header = ["processing_id", "product_id", "timestamp"]
     sensor_header += cfg.numeric_columns + cfg.categorical_columns
-    _write_csv(sensor_path, sensor_header, sensor_rows)
-
     metrology_header = ["processing_id", "product_id", "kqi", "type", "stage",
                         "equipid", "prod", "meas_med", "passfail", "inspection",
                         "targ_min", "targ_max"]
-    _write_csv(metrology_path, metrology_header, metrology_rows)
-
-    limit_rows = []
-    for combo in combos:
-        gmap = group_maps[combo]
-        for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-")):
-            limit_rows.append([kqi_label, combo[1], combo[2],
-                               _fmt(gmap["lcl"]), _fmt(gmap["ucl"])])
-    _write_csv(limits_path, ["kqi", "type", "stage", "lcl", "ucl"], limit_rows)
-
+    limit_rows = [
+        [kqi_label, combo[1], combo[2], _fmt(group_maps[combo]["lcl"]),
+         _fmt(group_maps[combo]["ucl"])]
+        for combo in combos
+        for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-"))
+    ]
     manifest = {
         "mechanism": (
             "meas_med = slope*z + intercept + N(0, noise_sd), with z the "
@@ -305,7 +276,13 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
         },
         "noise_sd": cfg.noise_sd,
         "half_width": half_width,
-        "groups": {},
+        "groups": {
+            "|".join((kqi_label, combo[1], combo[2])): {
+                key: group_maps[combo][key] for key in ("slope", "intercept", "lcl", "ucl")
+            }
+            for combo in combos
+            for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-"))
+        },
         "config": {
             "n_wafers": cfg.n_wafers,
             "seed": cfg.seed,
@@ -313,31 +290,105 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
             "wafers_per_batch": cfg.wafers_per_batch,
         },
     }
-    for combo in combos:
-        gmap = group_maps[combo]
-        for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-")):
-            manifest["groups"]["|".join((kqi_label, combo[1], combo[2]))] = {
-                "slope": gmap["slope"],
-                "intercept": gmap["intercept"],
-                "lcl": gmap["lcl"],
-                "ucl": gmap["ucl"],
-            }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1),
-                             encoding="utf-8")
+
+    # Phase 3: measurement values, labels and CSV rows, written batch by
+    # batch. Every file appears at its path only once all four are complete.
+    counts = np.zeros(4, dtype=np.int64)  # sensor rows, metrology rows, their duplicates
+    with (atomic_open(sensor_path, "w", newline="", encoding="utf-8") as sensor_fh,
+          atomic_open(metrology_path, "w", newline="", encoding="utf-8") as metrology_fh,
+          atomic_open(limits_path, "w", newline="", encoding="utf-8") as limits_fh,
+          atomic_open(manifest_path, "w", encoding="utf-8") as manifest_fh):
+        sensor_fh.write(_csv_line(sensor_header))
+        metrology_fh.write(_csv_line(metrology_header))
+        for batch in batches:
+            sensor_lines, metrology_lines, duplicates = _batch_lines(batch, group_maps,
+                                                                     rng, cfg)
+            sensor_fh.writelines(sensor_lines)
+            metrology_fh.writelines(metrology_lines)
+            counts += (len(sensor_lines), len(metrology_lines), *duplicates)
+        limits_fh.write(_csv_line(["kqi", "type", "stage", "lcl", "ucl"]))
+        limits_fh.writelines(map(_csv_line, limit_rows))
+        manifest_fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
     return SynthResult(
         sensor_path=sensor_path,
         metrology_path=metrology_path,
         limits_path=limits_path,
         manifest_path=manifest_path,
-        n_sensor_rows=len(sensor_rows),
-        n_metrology_rows=len(metrology_rows),
+        n_sensor_rows=int(counts[0]),
+        n_metrology_rows=int(counts[1]),
         n_limit_rows=len(limit_rows),
+        n_sensor_duplicates=int(counts[2]),
+        n_metrology_duplicates=int(counts[3]),
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _batch_lines(batch: dict, group_maps: dict, rng: np.random.Generator,
+                 cfg: SynthConfig) -> tuple[list[str], list[str], tuple[int, int]]:
+    """One batch's sensor and metrology CSV lines, and how many of each are
+    verbatim duplicates of the line before them.
+
+    The draws keep the order of one scalar call per cell: per wafer the
+    product, then each step's missing-cell draws and its duplicate draw, then
+    per measurement the inspection, target and duplicate draws.
+    """
+    pid = batch["processing_id"]
+    z = batch["wafers"][0]["signal"]
+    per_combo = []
+    for kqi, mtype, stage in batch["combos"]:
+        gmap = group_maps[(kqi, mtype, stage)]
+        clean = gmap["slope"] * z + gmap["intercept"]
+        noise = float(rng.normal(0.0, cfg.noise_sd)) if cfg.noise_sd > 0 else 0.0
+        if clean > gmap["ucl"]:
+            passfail = "FAIL_AVG_HI"
+        elif clean < gmap["lcl"]:
+            passfail = "FAIL_AVG_LOW"
+        else:
+            passfail = "PASS"
+        per_combo.append((kqi, kqi.replace("KQI-", "KQI-MON-"), mtype, stage,
+                          _fmt(clean + noise), passfail, _fmt(gmap["lcl"]),
+                          _fmt(gmap["ucl"])))
+
+    n = cfg.n_numeric_sensors
+    sensor_lines: list[str] = []
+    metrology_lines: list[str] = []
+    n_sensor_dups = n_metrology_dups = 0
+    for w_idx, wafer in enumerate(batch["wafers"]):
+        product_id = wafer["product_id"]
+        prod = f"PROD-{int(rng.integers(cfg.n_prod)) + 1}"
+        draws = rng.random((len(wafer["timestamps"]), n + 1))
+        cells = list(map(repr, wafer["numeric"].ravel().tolist()))
+        for i in np.flatnonzero(draws[:, :n] < cfg.missing_cell_rate).tolist():
+            cells[i] = ""
+        duplicated = (draws[:, n] < cfg.duplicate_row_rate).tolist()
+        for t, ts in enumerate(wafer["timestamps"]):
+            labels = [f"CAT{col}-L{label}"
+                      for col, label in enumerate(wafer["cat_labels"][t].tolist())]
+            line = _csv_line([pid, product_id, ts.isoformat(),
+                              *cells[t * n:(t + 1) * n], *labels])
+            sensor_lines.append(line)
+            if duplicated[t]:
+                sensor_lines.append(line)
+                n_sensor_dups += 1
+        for kqi, kqi_mon, mtype, stage, value, passfail, lcl, ucl in per_combo:
+            if passfail == "PASS":
+                inspection = "OTHER" if rng.random() < 0.02 else "NONE"
+            elif rng.random() < INSPECTED_FAIL_RATE:
+                inspection = "REWORK" if rng.random() < 0.5 else "SCRAP"
+            else:
+                inspection = "NONE"
+            has_targ = rng.random() < cfg.targ_rate
+            line = _csv_line([pid, product_id, kqi if w_idx > 0 else kqi_mon, mtype, stage,
+                              batch["equip"], prod, value, passfail, inspection,
+                              lcl if has_targ else "", ucl if has_targ else ""])
+            metrology_lines.append(line)
+            if rng.random() < cfg.duplicate_row_rate:
+                metrology_lines.append(line)
+                n_metrology_dups += 1
+    return sensor_lines, metrology_lines, (n_sensor_dups, n_metrology_dups)
+
+
+def _csv_line(cells: list[str]) -> str:
+    """``csv.writer``'s bytes for a row of two or more cells, none of which
+    holds a comma, a quote or a line break: no cell needs quoting."""
+    return ",".join(cells) + "\r\n"

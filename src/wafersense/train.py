@@ -318,7 +318,7 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     workers = adam_workers(params.size())
     state = init_adam_state(params, workers)
     grads = ModelParams(arch, np.empty_like(params.flat))  # backward_batch overwrites it
-    best_params = params.copy()
+    best_params = params.copy()  # the one buffer the best epoch's weights are copied into
     stopper = EarlyStopper(cfg.patience)
     history: list[EpochStats] = []
     t = 0
@@ -347,7 +347,7 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
             is_best, should_stop = stopper.update(val_loss)
             if is_best:
-                best_params = params.copy()
+                np.copyto(best_params.flat, params.flat)
             history.append(EpochStats(epoch, train_sum / train_count, val_loss, is_best))
             log.info("epoch %d: train %.6f val %.6f%s", epoch, train_sum / train_count,
                      val_loss, " *" if is_best else "")

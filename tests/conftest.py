@@ -5,12 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wafersense import cli
 from wafersense.domain import MeasurementTable, SensorTable, WaferTable
 from wafersense.ingest import datetime_features
 from wafersense.nn import ModelParams
 
+# The deeper run CI makes of the generator's reference test:
+# pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=300, deadline=None)
 
 TINY_CONFIG = """\
 [synth]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,6 +107,20 @@ class TestGenerate:
          "[preprocess] invalid literal for int() with base 10: 'x' (key seed)"),
         ("preprocess", "n_wafers = 30\n[schema]\nmonitor_marker =",
          "[schema] monitor_marker must not be empty"),
+        ("generate", "n_wafers = 5\nwafers_per_batch = 0",
+         "[synth] wafers_per_batch must be >= 1"),
+        ("generate", "n_wafers = 5\nmeasurements_per_wafer = 13",
+         "[synth] measurements_per_wafer must be in [0, n_kqi*n_type*n_stage = 12]"),
+        ("generate", "n_wafers = 5\nn_stage = 0", "[synth] n_stage must be >= 1"),
+        ("generate", "n_wafers = 5\nsensor_cat_vocab = 0",
+         "[synth] sensor_cat_vocab must be >= 1"),
+        ("generate", "n_wafers = 5\nn_numeric_sensors = -2",
+         "[synth] n_numeric_sensors must be >= 0"),
+        ("generate", "n_wafers = 5\nmissing_cell_rate = 1.5",
+         "[synth] missing_cell_rate must be in [0, 1]"),
+        ("generate", "n_wafers = 5\nnoise_sd = -0.1", "[synth] noise_sd must be finite and >= 0"),
+        ("generate", "n_wafers = 5\ngroup_offset_lo = 4",
+         "[synth] group_offset_lo and group_offset_hi must be finite, lo <= hi"),
     ])
     def test_bad_config_value_is_an_error(self, tiny_run, tmp_path, capsys, command, text,
                                           message):
@@ -164,6 +179,24 @@ class TestPreprocess:
         assert "duplicate rows dropped: 3 sensor, 2 metrology" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
         assert manifest["duplicate_rows_dropped"] == {"sensor": 3, "metrology": 2}
+
+    @pytest.mark.parametrize("text", [
+        TINY_CONFIG,
+        "[synth]\nn_wafers = 600\nseed = 5\nmissing_cell_rate = 0.3\nduplicate_row_rate = 0.2\n"
+        "targ_rate = 0.2\nsensor_cat_vocab = 1\n[schema]\ntrain_on_monitor = true\n",
+    ], ids=["tiny", "stress"])
+    def test_generated_duplicates_are_the_rows_dedupe_drops(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "d") == 0
+        err = capsys.readouterr().err
+        written = {name: int(re.search(rf"^{name} rows: +\d+ \((\d+) verbatim duplicates\)",
+                                       err, re.M).group(1))
+                   for name in ("sensor", "metrology")}
+        assert min(written.values()) > 0
+        assert run_cli("preprocess", "--config", cfg, "--data", tmp_path / "d",
+                       "--out", tmp_path / "f") == 0
+        manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert manifest["duplicate_rows_dropped"] == written
 
     def test_listed_bucket_missing_or_resized_is_an_error(self, tiny_run, tmp_path):
         features = tmp_path / "features"

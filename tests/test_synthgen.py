@@ -1,11 +1,19 @@
 import csv
 import json
+import tempfile
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wafersense import synthgen
 from wafersense.synthgen import SynthConfig, generate, step_value, wafer_signal
+
+import synthref
+
+OUTPUT_FILES = ("sensor.csv", "metrology.csv", "limits.csv", "truth_manifest.json")
 
 
 def read_rows(path):
@@ -21,6 +29,37 @@ class TestConfigValidation:
     def test_step_counts_bounded(self):
         with pytest.raises(ValueError, match="1..5"):
             SynthConfig(n_wafers=10, step_weights={6: 1.0})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # wafers_per_batch = 0 made phase 1 loop forever; the others raised inside numpy
+        (dict(wafers_per_batch=0), "wafers_per_batch must be >= 1"),
+        (dict(measurements_per_wafer=13), r"measurements_per_wafer must be in \[0, "
+                                          r"n_kqi\*n_type\*n_stage = 12\]"),
+        (dict(n_kqi=2, measurements_per_wafer=-1), "= 8"),
+        (dict(n_kqi=0), "n_kqi must be >= 1"),
+        (dict(n_type=0), "n_type must be >= 1"),
+        (dict(n_stage=0), "n_stage must be >= 1"),
+        (dict(n_equip=0), "n_equip must be >= 1"),
+        (dict(n_prod=0), "n_prod must be >= 1"),
+        (dict(sensor_cat_vocab=0), "sensor_cat_vocab must be >= 1"),
+        (dict(n_numeric_sensors=-1), "n_numeric_sensors must be >= 0"),
+        (dict(n_sensor_categoricals=-1), "n_sensor_categoricals must be >= 0"),
+        (dict(missing_cell_rate=1.01), r"missing_cell_rate must be in \[0, 1\]"),
+        (dict(duplicate_row_rate=-0.1), r"duplicate_row_rate must be in \[0, 1\]"),
+        (dict(targ_rate=float("nan")), r"targ_rate must be in \[0, 1\]"),
+        (dict(noise_sd=-0.2), "noise_sd must be finite and >= 0"),
+        (dict(noise_sd=float("inf")), "noise_sd must be finite and >= 0"),
+        (dict(group_offset_range=(3.0, 1.0)), "group_offset_lo and group_offset_hi"),
+    ])
+    def test_values_that_hang_or_crash_generate_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(n_wafers=10, **kwargs)
+
+    def test_edge_values_accepted(self):
+        SynthConfig(n_wafers=1, n_numeric_sensors=0, n_sensor_categoricals=0,
+                    measurements_per_wafer=0, missing_cell_rate=1.0, duplicate_row_rate=1.0,
+                    targ_rate=0.0, noise_sd=0.0, group_offset_range=(2.0, 2.0))
+        SynthConfig(n_wafers=10, measurements_per_wafer=12)
 
     def test_defaults_mass_on_two_and_three(self):
         cfg = SynthConfig(n_wafers=10)
@@ -39,6 +78,76 @@ class TestDeterminism:
         a = generate(SynthConfig(n_wafers=40, seed=5), tmp_path / "a")
         b = generate(SynthConfig(n_wafers=40, seed=6), tmp_path / "b")
         assert a.sensor_path.read_bytes() != b.sensor_path.read_bytes()
+
+
+STEP_WEIGHTS = [synthgen.DEFAULT_STEP_WEIGHTS, {1: 1.0}, {5: 1.0}, {2: 0.5, 4: 0.5},
+                {1: 0.2, 2: 0.2, 3: 0.2, 4: 0.2, 5: 0.2}]
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs over every [synth] key, edge rates and empty column sets included."""
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    n_kqi = draw(st.integers(1, 3))
+    n_type = draw(st.integers(1, 2))
+    n_stage = draw(st.integers(1, 2))
+    lo = draw(st.floats(-5.0, 5.0))
+    return SynthConfig(
+        n_wafers=draw(st.integers(1, 150)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        step_weights=draw(st.sampled_from(STEP_WEIGHTS)),
+        n_numeric_sensors=draw(st.integers(0, 30)),
+        n_sensor_categoricals=draw(st.integers(0, 3)),
+        sensor_cat_vocab=draw(st.integers(1, 4)),
+        n_kqi=n_kqi, n_type=n_type, n_stage=n_stage,
+        n_equip=draw(st.integers(1, 4)),
+        n_prod=draw(st.integers(1, 4)),
+        wafers_per_batch=draw(st.integers(1, 9)),
+        measurements_per_wafer=draw(st.integers(0, n_kqi * n_type * n_stage)),
+        noise_sd=draw(st.sampled_from([0.0, 0.2, 1.5])),
+        fail_rate=draw(st.floats(0.0, 0.49)),
+        missing_cell_rate=draw(rate),
+        duplicate_row_rate=draw(rate),
+        targ_rate=draw(rate),
+        group_offset_range=(lo, lo + draw(st.floats(0.0, 4.0))),
+    )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_generate_matches_row_list_reference(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        result = generate(cfg, Path(tmp) / "streamed")
+        synthref.generate(cfg, Path(tmp) / "reference")
+        for name in OUTPUT_FILES:
+            assert ((Path(tmp) / "streamed" / name).read_bytes()
+                    == (Path(tmp) / "reference" / name).read_bytes()), name
+        assert sorted(p.name for p in (Path(tmp) / "streamed").iterdir()) == sorted(OUTPUT_FILES)
+        sensor = read_rows(result.sensor_path)
+        metrology = read_rows(result.metrology_path)
+    assert (result.n_sensor_rows, result.n_metrology_rows) == (len(sensor), len(metrology))
+    assert result.n_sensor_duplicates == len(sensor) - len({tuple(r.values()) for r in sensor})
+    assert (result.n_metrology_duplicates
+            == len(metrology) - len({tuple(r.values()) for r in metrology}))
+
+
+def test_failed_run_leaves_earlier_dataset_untouched(tmp_path, monkeypatch):
+    generate(SynthConfig(n_wafers=40, seed=1), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real = synthgen._batch_lines
+    calls = []
+
+    def fail_on_third_batch(*args):
+        calls.append(sorted(p.name for p in tmp_path.glob(".*.tmp")))
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        return real(*args)
+
+    monkeypatch.setattr(synthgen, "_batch_lines", fail_on_third_batch)
+    with pytest.raises(OSError, match="no space"):
+        generate(SynthConfig(n_wafers=40, seed=2), tmp_path)
+    assert len(calls[-1]) == 4  # the run was writing beside all four files
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestNoiselessOracle:

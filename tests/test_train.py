@@ -372,6 +372,20 @@ class TestFit:
         got = dataset_loss(params, [val_bucket], ReLossFn(10.0))
         assert got == pytest.approx(best, rel=1e-6)
 
+    def test_returned_params_share_no_memory_with_trained_ones(self, monkeypatch):
+        trained = []
+
+        def init_and_keep(*args):
+            trained.append(init_params(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(train, "init_params", init_and_keep)
+        cfg = TrainConfig(max_epochs=4, patience=4, seed=1, batch_size=4)
+        params, history = fit(TINY_ARCH, [toy_bucket(n_samples=16, seed=5)],
+                              [toy_bucket(n_samples=8, seed=6)], cfg)
+        assert any(h.is_best for h in history[1:])  # the best buffer was overwritten
+        assert not np.shares_memory(params.flat, trained[0].flat)
+
     def test_max_epochs_reached_returns_best_so_far(self):
         cfg = TrainConfig(max_epochs=3, patience=50, seed=0, batch_size=4)
         _, history = fit(TINY_ARCH, [toy_bucket()], [toy_bucket(seed=9)], cfg)
