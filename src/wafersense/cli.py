@@ -19,6 +19,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import ingest, normgroups, preprocess, synthgen
+from .atomic import atomic_open
 from .nn import ArchConfig, load_checkpoint, save_checkpoint
 from .train import (
     TrainConfig,
@@ -432,7 +433,8 @@ def cmd_evaluate(args, sweep_only: bool = False) -> int:
         _status("no pass/fail test buckets found, skipping the sweep")
 
     report = ev.format_report_text(grouping, sweep_rows, diagnostics)
-    (out_dir / "report.txt").write_text(report, encoding="utf-8")
+    with atomic_open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
+        fh.write(report)
     _status(report.rstrip("\n"))
     _status(f"reports -> {out_dir}")
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .domain import ErrorRecord, Inspection, PassFail
 from .nn import ModelParams, forward_batch
 from .normgroups import GroupKey, NormalizationGroup, group_bounds
@@ -181,7 +182,7 @@ def denormalize_bucket(preds: np.ndarray, bucket: Bucket,
 # runs with the same seed are byte-identical.
 
 def write_grouping_csv(path, report: GroupingReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "count"])
         for k, count in enumerate(report.counts, start=1):
@@ -190,7 +191,7 @@ def write_grouping_csv(path, report: GroupingReport) -> None:
 
 
 def write_sweep_csv(path, rows: list[SweepRow], with_counts: bool = True) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if with_counts:
             writer.writerow(["f", "recall", "fpr", "tp", "fn", "fp", "tn"])

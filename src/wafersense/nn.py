@@ -6,10 +6,11 @@ state* (not the hidden state) is the encoded sensor vector. That vector,
 concatenated with the measurement features, feeds a two-hidden-layer ReLU
 MLP with a linear scalar output.
 
-Forward and reverse-mode backward are written directly against numpy;
-gradients are exact (verified against central finite differences in the
-test suite). Training runs in float32; pass dtype=np.float64 to
-``init_params`` for gradient checking.
+Forward and reverse-mode backward are written directly against numpy, with
+feature-major activations: each step is a contiguous (features, B) block, so
+every product has the (out, in) weight on the left. Gradients are exact
+(checked against central finite differences in the tests). Training runs in
+float32; pass dtype=np.float64 to ``init_params`` for gradient checking.
 """
 
 from __future__ import annotations
@@ -139,17 +140,17 @@ def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations retained for the backward pass, time-major."""
+    """Activations kept for the backward pass, feature-major: (features, B) blocks."""
 
-    steps: np.ndarray   # (n, B, S) inputs
-    x: np.ndarray       # (n, B, d) embedded inputs
-    gates: np.ndarray   # (n, B, 4d) gate activations, in FUSED_GATES order
-    c: np.ndarray       # (n + 1, B, d) cell states c_0 .. c_n; c[0] is zeros
-    h: np.ndarray       # (n, B, d) hidden states h_0 .. h_{n-1}; h[0] is zeros
-    tanh_c: np.ndarray  # (n, B, d) tanh(c_1) .. tanh(c_n)
-    z0: np.ndarray      # (B, d + M)
-    z1: np.ndarray      # (B, H) post-ReLU
-    z2: np.ndarray      # (B, H) post-ReLU
+    steps: np.ndarray   # (n, S, B) inputs
+    x: np.ndarray       # (n, d, B) embedded inputs
+    gates: np.ndarray   # (n, 4d, B) gate activations, in FUSED_GATES order
+    c: np.ndarray       # (n + 1, d, B) cell states c_0 .. c_n; c[0] is zeros
+    h: np.ndarray       # (n, d, B) hidden states h_0 .. h_{n-1}; h[0] is zeros
+    tanh_c: np.ndarray  # (n, d, B) tanh(c_1) .. tanh(c_n)
+    z0: np.ndarray      # (d + M, B)
+    z1: np.ndarray      # (H, B) post-ReLU
+    z2: np.ndarray      # (H, B) post-ReLU
 
 
 def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
@@ -169,36 +170,35 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     batch, n_steps, d = steps.shape[0], steps.shape[1], cfg.d
 
     # embedding and input pre-activations of every step, before the recurrence
-    steps = np.ascontiguousarray(steps.transpose(1, 0, 2))
-    x = steps.reshape(n_steps * batch, -1) @ p.emb_w.T
-    x += p.emb_b
-    gates = x @ p.wx.T
-    gates += p.b
-    x, gates = x.reshape(n_steps, batch, d), gates.reshape(n_steps, batch, 4 * d)
-    c = np.zeros((n_steps + 1, batch, d), dtype=p.dtype)
-    h = np.zeros((n_steps, batch, d), dtype=p.dtype)
-    tanh_c = np.empty((n_steps, batch, d), dtype=p.dtype)
-    recurrent = np.empty((batch, 4 * d), dtype=p.dtype)
+    steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
+    x = np.matmul(p.emb_w, steps)
+    x += p.emb_b[:, None]
+    gates = np.matmul(p.wx, x)
+    gates += p.b[:, None]
+    c = np.zeros((n_steps + 1, d, batch), dtype=p.dtype)
+    h = np.zeros((n_steps, d, batch), dtype=p.dtype)
+    tanh_c = np.empty((n_steps, d, batch), dtype=p.dtype)
+    recurrent = np.empty((4 * d, batch), dtype=p.dtype)
     for t in range(n_steps):
         a = gates[t]
         if t:  # h_0 = 0
-            a += np.matmul(h[t], p.wh.T, out=recurrent)
-        sig = a[:, :3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
+            a += np.matmul(p.wh, h[t], out=recurrent)
+        sig = a[:3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
         np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
         sig += 1.0
         sig *= 0.5
-        np.tanh(a[:, 3 * d:], out=a[:, 3 * d:])
-        i, f, o, g = (a[:, k * d:(k + 1) * d] for k in range(4))
+        np.tanh(a[3 * d:], out=a[3 * d:])
+        i, f, o, g = (a[k * d:(k + 1) * d] for k in range(4))
         np.multiply(f, c[t], out=c[t + 1])
         c[t + 1] += i * g
         np.tanh(c[t + 1], out=tanh_c[t])
         if t + 1 < n_steps:  # h_n is unused
             np.multiply(o, tanh_c[t], out=h[t + 1])
 
-    z0 = np.concatenate([c[n_steps], meas], axis=1)  # encoded vector is the last cell state
-    z1 = np.maximum(z0 @ p.mlp1_w.T + p.mlp1_b, 0.0)
-    z2 = np.maximum(z1 @ p.mlp2_w.T + p.mlp2_b, 0.0)
-    preds = z2 @ p.out_w + p.out_b[0]
+    z0 = np.concatenate([c[n_steps], meas.T])  # encoded vector is the last cell state
+    z1 = np.maximum(p.mlp1_w @ z0 + p.mlp1_b[:, None], 0.0)
+    z2 = np.maximum(p.mlp2_w @ z1 + p.mlp2_b[:, None], 0.0)
+    preds = p.out_w @ z2 + p.out_b[0]
 
     trace = ForwardTrace(steps=steps, x=x, gates=gates, c=c, h=h, tanh_c=tanh_c,
                          z0=z0, z1=z1, z2=z2) if want_trace else None
@@ -222,49 +222,48 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarra
     p, cfg = params, params.cfg
     grads = ModelParams(cfg, np.empty_like(p.flat)) if out is None else out
     dy = np.asarray(upstream, dtype=p.dtype)
-    d, (n_steps, batch, _) = cfg.d, trace.gates.shape
+    d, (n_steps, _, batch) = cfg.d, trace.gates.shape
 
-    # MLP head
+    # bias gradients as products with ones beat np.sum; W.T @ dY beats (dY.T @ W).T
+    ones = np.ones(n_steps * batch, dtype=p.dtype)
     grads.out_b[0] = dy.sum()
-    np.matmul(trace.z2.T, dy, out=grads.out_w)
-    dz2 = dy[:, None] * p.out_w[None, :]
-    dpre2 = dz2 * (trace.z2 > 0)
-    np.matmul(dpre2.T, trace.z1, out=grads.mlp2_w)
-    np.sum(dpre2, axis=0, out=grads.mlp2_b)
-    dz1 = dpre2 @ p.mlp2_w
-    dpre1 = dz1 * (trace.z1 > 0)
-    np.matmul(dpre1.T, trace.z0, out=grads.mlp1_w)
-    np.sum(dpre1, axis=0, out=grads.mlp1_b)
-    dz0 = dpre1 @ p.mlp1_w
+    np.matmul(trace.z2, dy, out=grads.out_w)
+    dpre2 = np.outer(p.out_w, dy) * (trace.z2 > 0)
+    np.matmul(dpre2, trace.z1.T, out=grads.mlp2_w)
+    np.matmul(dpre2, ones[:batch], out=grads.mlp2_b)
+    dpre1 = (p.mlp2_w.T @ dpre2) * (trace.z1 > 0)
+    np.matmul(dpre1, trace.z0.T, out=grads.mlp1_w)
+    np.matmul(dpre1, ones[:batch], out=grads.mlp1_b)
+    dc = p.mlp1_w[:, :d].T @ dpre1  # prediction consumes c_n; h_n is unused
 
     # LSTM: gate pre-activation gradients of every step, gathered in da_all
     da_all = np.empty_like(trace.gates)
-    dc = dz0[:, :d].copy()  # prediction consumes c_n; h_n is unused
     dh = np.zeros_like(dc)
     for t in range(n_steps - 1, -1, -1):
         a, da = trace.gates[t], da_all[t]
-        i, f, o, g = (a[:, k * d:(k + 1) * d] for k in range(4))
-        da_i, da_f, da_o, da_g = (da[:, k * d:(k + 1) * d] for k in range(4))
+        i, f, o, g = (a[k * d:(k + 1) * d] for k in range(4))
+        da_i, da_f, da_o, da_g = (da[k * d:(k + 1) * d] for k in range(4))
         np.multiply(dh, trace.tanh_c[t], out=da_o)
         dc += dh * o * (1.0 - trace.tanh_c[t] * trace.tanh_c[t])
         np.multiply(dc, g, out=da_i)
         np.multiply(dc, trace.c[t], out=da_f)
-        sig = a[:, :3 * d]
-        da[:, :3 * d] *= sig * (1.0 - sig)
+        sig = a[:3 * d]
+        da[:3 * d] *= sig * (1.0 - sig)
         np.multiply(dc, i, out=da_g)
         da_g *= 1.0 - g * g
         if t:
-            dh = da @ p.wh
+            dh = p.wh.T @ da
             dc *= f
 
-    rows = n_steps * batch
-    da_all = da_all.reshape(rows, 4 * d)
-    np.matmul(da_all.T, trace.x.reshape(rows, d), out=grads.wx)
-    np.matmul(da_all[batch:].T, trace.h.reshape(rows, d)[batch:], out=grads.wh)  # h_0 = 0
-    np.sum(da_all, axis=0, out=grads.b)
-    dx = da_all @ p.wx
-    np.matmul(dx.T, trace.steps.reshape(rows, -1), out=grads.emb_w)
-    np.sum(dx, axis=0, out=grads.emb_b)
+    # weight gradients of all steps at once, from (features, n * B) transpose-copies
+    da_cat, x_cat, h_cat, steps_cat = (arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
+                                       for arr in (da_all, trace.x, trace.h, trace.steps))
+    np.matmul(da_cat, x_cat.T, out=grads.wx)
+    np.matmul(da_cat[:, batch:], h_cat[:, batch:].T, out=grads.wh)  # h_0 = 0
+    np.matmul(da_cat, ones, out=grads.b)
+    dx = p.wx.T @ da_cat
+    np.matmul(dx, steps_cat.T, out=grads.emb_w)
+    np.matmul(dx, ones, out=grads.emb_b)
     return grads
 
 

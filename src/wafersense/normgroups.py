@@ -13,6 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .atomic import atomic_open
 from .domain import ControlLimits, LimitSource, MeasurementTable
 
 GroupKey = tuple[str, str, str]
@@ -93,7 +94,7 @@ def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage):
 
 
 def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kqi", "type", "stage", "b1", "b2"])
         for key in sorted(groups):

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .domain import (DATETIME_FEATURES, MeasurementRecord, MeasurementTable, SensorTable,
                      WaferRecord, WaferTable)
 from .normgroups import GroupKey, resolve_control_limits
@@ -357,7 +358,7 @@ def bucket_filename(stream: str, split: str, n_steps: int) -> str:
 
 
 def save_bucket(path: Path, bucket: Bucket) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, n_steps=np.array(bucket.n_steps),
                  **{k: getattr(bucket, k) for k in BUCKET_ARRAY_KEYS})
 
@@ -395,7 +396,8 @@ def write_manifest(features_dir: Path, pipeline: FeaturePipeline,
     manifest.update(extra)
     path = Path(features_dir) / "manifest.json"
     blob = json.dumps(manifest, sort_keys=True, indent=1, allow_nan=False).encode("utf-8")
-    path.write_bytes(blob)
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -81,8 +81,8 @@ class SynthConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         n_combos = self.n_kqi * self.n_type * self.n_stage
-        if not 0 <= self.measurements_per_wafer <= n_combos:
-            raise ValueError(f"measurements_per_wafer must be in [0, n_kqi*n_type*n_stage "
+        if not 1 <= self.measurements_per_wafer <= n_combos:  # 0 would give no samples
+            raise ValueError(f"measurements_per_wafer must be in [1, n_kqi*n_type*n_stage "
                              f"= {n_combos}]")
         if not set(self.step_weights) <= {1, 2, 3, 4, 5}:
             raise ValueError("step counts must lie in 1..5")

@@ -148,18 +148,16 @@ ADAM_BLOCK = 65_536
 # small preset's 4 blocks gain nothing from a second thread, while the large
 # preset's 226 blocks split over two cores.
 MIN_BLOCKS_PER_WORKER = 16
-# Every this many steps, second moments below the smallest normal float and
-# first moments below it divided by the learning rate are zeroed: those of
-# weights whose gradient stays zero decay towards subnormals, and a subnormal
-# moment or update product slows every step. Such an update is below ~1e-30,
-# far below one ulp of any weight.
+# Every this many steps, moments whose update product would be subnormal are
+# zeroed: a zero gradient decays them towards subnormals, which slow every step.
+# Such an update is below ~1e-30, far below one ulp of any weight.
 FLUSH_EVERY = 32
 
 
 @dataclass
 class AdamState:
-    m: np.ndarray        # moments, one entry per element of ModelParams.flat
-    v: np.ndarray
+    m: np.ndarray        # m / (1 - beta1), one entry per element of ModelParams.flat
+    v: np.ndarray        # v / (1 - beta2)
     scratch: np.ndarray  # (workers, 2, block) work space of adam_step, one slab per worker
 
 
@@ -197,16 +195,20 @@ def _blas_park():
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               t: int, cfg: TrainConfig, pool: ThreadPoolExecutor | None = None):
     """Standard Adam update with bias correction (Kingma & Ba, arXiv:1412.6980),
-    in place and block by block; mutates params and state.
+    in 10 in-place passes per block; mutates params and state. The moments are kept as
+    m / (1 - b1) and v / (1 - b2); the bias corrections fold into step and eps.
 
     The blocks are split into one contiguous range per scratch slab of
     ``state``. With more than one slab, ``pool`` updates the ranges in
     parallel, after OpenBLAS's spinning threads are parked. Every element gets
     the same arithmetic whatever the split, so the split never changes a byte.
     """
-    b1, b2 = cfg.beta1, cfg.beta2
-    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+    v_scale = float(np.sqrt((1.0 - b2 ** t) / (1.0 - b2)))
+    # Python floats, so the float32 loops stay float32 (NEP 50)
+    step, eps = lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale, cfg.eps * v_scale
     flush, tiny = t % FLUSH_EVERY == 0, np.finfo(params.dtype).tiny
+    m_floor, v_floor = tiny / (lr * (1.0 - b1)), tiny / (1.0 - b2)
     n_blocks, workers = -(-params.size() // ADAM_BLOCK), len(state.scratch)
 
     def update(worker: int) -> None:
@@ -214,19 +216,18 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
             sl = slice(block * ADAM_BLOCK, (block + 1) * ADAM_BLOCK)
             p, g, m, v = params.flat[sl], grads.flat[sl], state.m[sl], state.v[sl]
             x, y = state.scratch[worker, :, : len(p)]
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g)
             m *= b1
-            m += np.multiply(g, 1.0 - b1, out=x)
+            m += g
             v *= b2
-            v += np.multiply(np.multiply(g, g, out=x), 1.0 - b2, out=x)
-            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-            np.multiply(np.divide(m, bc1, out=y), cfg.learning_rate, out=y)
-            np.sqrt(np.divide(v, bc2, out=x), out=x)
-            x += cfg.eps
-            p -= np.divide(y, x, out=y)
+            v += np.multiply(g, g, out=x)
+            np.sqrt(v, out=x)
+            x += eps
+            np.divide(m, x, out=y)
+            y *= step
+            p -= y
             if flush:
-                m[np.abs(m, out=x) < tiny / cfg.learning_rate] = 0.0
-                v[np.abs(v, out=x) < tiny] = 0.0
+                m[np.abs(m, out=x) < m_floor] = 0.0
+                v[np.abs(v, out=x) < v_floor] = 0.0
 
     if workers == 1:
         update(0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wafersense
-from wafersense import cli, preprocess
+from wafersense import atomic, cli, preprocess
 from wafersense.cli import ConfigError, RunConfig, _parse_filter
 
 from conftest import TINY_CONFIG, run_cli, write_config
@@ -110,7 +110,9 @@ class TestGenerate:
         ("generate", "n_wafers = 5\nwafers_per_batch = 0",
          "[synth] wafers_per_batch must be >= 1"),
         ("generate", "n_wafers = 5\nmeasurements_per_wafer = 13",
-         "[synth] measurements_per_wafer must be in [0, n_kqi*n_type*n_stage = 12]"),
+         "[synth] measurements_per_wafer must be in [1, n_kqi*n_type*n_stage = 12]"),
+        ("generate", "n_wafers = 5\nmeasurements_per_wafer = 0",
+         "[synth] measurements_per_wafer must be in [1, n_kqi*n_type*n_stage = 12]"),
         ("generate", "n_wafers = 5\nn_stage = 0", "[synth] n_stage must be >= 1"),
         ("generate", "n_wafers = 5\nsensor_cat_vocab = 0",
          "[synth] sensor_cat_vocab must be >= 1"),
@@ -361,6 +363,55 @@ class TestEvaluate:
                        "--test-filter", "kqi=KQI-1,type=TYPE-1") == 0
         rows = list(csv.reader(open(out / "grouping.csv")))
         assert sum(int(r[1]) for r in rows[1:7]) > 0
+
+
+class HalfWrittenFile:
+    """A file whose first write stores half its data and then raises, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("preprocess", "reg_train_n3.npz"),
+    ("preprocess", "groups.csv"),
+    ("preprocess", "manifest.json"),
+    ("evaluate", "grouping.csv"),
+    ("evaluate", "sweep.csv"),
+    ("evaluate", "plot_recall_fpr.csv"),
+    ("evaluate", "report.txt"),
+])
+def test_failed_write_keeps_earlier_output(tiny_run, tmp_path, monkeypatch, command, name):
+    # a rerun whose write of ``name`` fails leaves every earlier file as it was
+    argv = ["--config", tiny_run["config"], "--out", tmp_path / "out"] + {
+        "preprocess": ["--data", tiny_run["data"]],
+        "evaluate": ["--checkpoint", tiny_run["checkpoint"], "--features", tiny_run["features"]],
+    }[command]
+    assert run_cli(command, *argv) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert name in before
+
+    def open_failing(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return HalfWrittenFile(fh) if Path(file).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(atomic, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(command, *argv)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
 
 class TestSweepCommand:

@@ -341,6 +341,25 @@ class TestFusedGates:
         for name, arr in grads.arrays():
             assert np.allclose(arr, ref_grads[name], rtol=1e-10, atol=0.0), name
 
+    @pytest.mark.parametrize("batch", [1, 16, 512])
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_feature_major_layout_matches_reference(self, n, batch):
+        # the (features, batch) activations at the batch sizes of a single
+        # sample, a training step and an evaluation chunk; relative to each
+        # array's largest entry, since sums in another order cancel differently
+        params = tiny_params(n)
+        rng = np.random.default_rng(40 + n)
+        steps, meas = rng.normal(size=(batch, n, 6)), rng.normal(size=(batch, 3))
+        upstream = rng.normal(size=batch)
+        preds, trace = forward_batch(params, steps, meas)
+        grads = backward_batch(params, trace, upstream)
+        ref_preds, ref_grads = per_gate_reference(params, steps, meas, upstream)
+        assert preds.shape == (batch,)
+        assert np.max(np.abs(preds - ref_preds)) <= 1e-12 * np.max(np.abs(ref_preds))
+        for name, arr in grads.arrays():
+            ref = ref_grads[name]
+            assert np.max(np.abs(arr - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
     def test_fused_blocks_are_views_stacking_the_named_gates(self):
         params = init_params(TINY, seed=0)
         d = TINY.d

@@ -33,7 +33,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs, message", [
         # wafers_per_batch = 0 made phase 1 loop forever; the others raised inside numpy
         (dict(wafers_per_batch=0), "wafers_per_batch must be >= 1"),
-        (dict(measurements_per_wafer=13), r"measurements_per_wafer must be in \[0, "
+        (dict(measurements_per_wafer=13), r"measurements_per_wafer must be in \[1, "
                                           r"n_kqi\*n_type\*n_stage = 12\]"),
         (dict(n_kqi=2, measurements_per_wafer=-1), "= 8"),
         (dict(n_kqi=0), "n_kqi must be >= 1"),
@@ -50,6 +50,8 @@ class TestConfigValidation:
         (dict(noise_sd=-0.2), "noise_sd must be finite and >= 0"),
         (dict(noise_sd=float("inf")), "noise_sd must be finite and >= 0"),
         (dict(group_offset_range=(3.0, 1.0)), "group_offset_lo and group_offset_hi"),
+        # 0 wrote a header-only metrology.csv that preprocess then refused
+        (dict(measurements_per_wafer=0), r"measurements_per_wafer must be in \[1, "),
     ])
     def test_values_that_hang_or_crash_generate_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -57,7 +59,7 @@ class TestConfigValidation:
 
     def test_edge_values_accepted(self):
         SynthConfig(n_wafers=1, n_numeric_sensors=0, n_sensor_categoricals=0,
-                    measurements_per_wafer=0, missing_cell_rate=1.0, duplicate_row_rate=1.0,
+                    measurements_per_wafer=1, missing_cell_rate=1.0, duplicate_row_rate=1.0,
                     targ_rate=0.0, noise_sd=0.0, group_offset_range=(2.0, 2.0))
         SynthConfig(n_wafers=10, measurements_per_wafer=12)
 
@@ -103,7 +105,7 @@ def small_configs(draw):
         n_equip=draw(st.integers(1, 4)),
         n_prod=draw(st.integers(1, 4)),
         wafers_per_batch=draw(st.integers(1, 9)),
-        measurements_per_wafer=draw(st.integers(0, n_kqi * n_type * n_stage)),
+        measurements_per_wafer=draw(st.integers(1, n_kqi * n_type * n_stage)),
         noise_sd=draw(st.sampled_from([0.0, 0.2, 1.5])),
         fail_rate=draw(st.floats(0.0, 0.49)),
         missing_cell_rate=draw(rate),

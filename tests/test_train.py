@@ -156,14 +156,17 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_step_equals_per_array_formula(self, dtype, workers):
         # several blocks plus a ragged tail, split over the workers, checked bit
-        # for bit against the per-array update written out in full; the last
-        # step flushes, with a flushable moment in every block
+        # for bit against the per-array update written out in full in the
+        # scaled-moment algebra; the last step flushes, with a flushable moment
+        # in every block
         params = init_params(ArchConfig(sensor_dim=7, meas_dim=3, d=100, mlp_hidden=300),
                              seed=0, dtype=dtype)
         n_blocks = -(-params.size() // ADAM_BLOCK)
         assert n_blocks >= 3 and params.size() % ADAM_BLOCK
         cfg = TrainConfig(learning_rate=1e-3)
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
         tiny = np.finfo(dtype).tiny
+        m_floor, v_floor = tiny / (lr * (1.0 - b1)), tiny / (1.0 - b2)
         ref, ref_m, ref_v = params.copy(), zeros_like_params(params), zeros_like_params(params)
         state = init_adam_state(params, workers)
         grads = zeros_like_params(params)
@@ -177,21 +180,22 @@ class TestAdam:
                     # after one decay these moments sit below the flush floors
                     grads.flat[flushed] = 0.0
                     for m, v in ((state.m, state.v), (ref_m.flat, ref_v.flat)):
-                        m[flushed] = tiny / cfg.learning_rate
-                        v[flushed] = tiny
+                        m[flushed] = m_floor
+                        v[flushed] = v_floor
                 adam_step(params, grads, state, t=t, cfg=cfg, pool=pool)
-                b1, b2 = cfg.beta1, cfg.beta2
-                bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                v_scale = np.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+                step = float(lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale)
+                eps = float(cfg.eps * v_scale)
                 for name, arr in ref.arrays():
                     g, m, v = getattr(grads, name), getattr(ref_m, name), getattr(ref_v, name)
                     m *= b1
-                    m += (1.0 - b1) * g
+                    m += g
                     v *= b2
-                    v += (1.0 - b2) * (g * g)
-                    arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+                    v += g * g
+                    arr -= m / (np.sqrt(v) + eps) * step
                     if t == FLUSH_EVERY:
-                        m[np.abs(m) < tiny / cfg.learning_rate] = 0.0
-                        v[np.abs(v) < tiny] = 0.0
+                        m[np.abs(m) < m_floor] = 0.0
+                        v[np.abs(v) < v_floor] = 0.0
                 for name, arr in params.arrays():
                     assert arr.dtype == dtype
                     assert np.array_equal(arr, getattr(ref, name)), (t, name)
@@ -201,26 +205,53 @@ class TestAdam:
                     assert np.array_equal(getattr(v, name), getattr(ref_v, name)), (t, name)
         assert not state.m[flushed].any() and not state.v[flushed].any()
 
+    def test_matches_textbook_bias_corrected_adam(self):
+        # the scaled moments and folded corrections against Algorithm 1 of
+        # Kingma & Ba as printed, in float64
+        params = init_params(TINY_ARCH, seed=0, dtype=np.float64)
+        cfg = TrainConfig(learning_rate=1e-2)
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+        state = init_adam_state(params)
+        theta, m, v = params.flat.copy(), np.zeros(params.size()), np.zeros(params.size())
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.uniform(-6, 1, params.size())  # gradients over seven decades
+        for t in range(1, 51):
+            g = rng.normal(size=params.size()) * scales
+            adam_step(params, ModelParams(TINY_ARCH, g), state, t=t, cfg=cfg)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            # a weight crossing zero has no relative precision; lr bounds one step
+            np.testing.assert_allclose(params.flat, theta, rtol=1e-12, atol=1e-12 * lr)
+            np.testing.assert_allclose(state.m * (1.0 - b1), m, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(state.v * (1.0 - b2), v, rtol=1e-12, atol=0.0)
+
     def test_subnormal_moments_flushed_every_flush_steps(self):
         params = init_params(TINY_ARCH, seed=0)
         grads = zeros_like_params(params)
+        cfg = TrainConfig()
         tiny = np.finfo(np.float32).tiny
-        m_floor = tiny / TrainConfig().learning_rate
-        # after one decay the first four are subnormal, the rest normal; as
-        # first moments the next two lie in [tiny, tiny / lr), where lr * m is
-        # subnormal, so they are flushed too
+        # the state holds m / (1 - b1) and v / (1 - b2), so the floors scale too
+        m_floor = tiny / (cfg.learning_rate * (1.0 - cfg.beta1))
+        v_floor = tiny / (1.0 - cfg.beta2)
+        # true moments: after one decay the first four are subnormal, the rest
+        # normal; as first moments the next two lie in [tiny, tiny / lr), where
+        # lr * m is subnormal, so they are flushed too
         values = np.array([tiny / 4, -tiny / 4, tiny, -tiny, 2 * tiny, 1e-35, 1e-30, 0.9],
                           np.float32)
-        assert tiny < values[5] * np.float32(0.9) < m_floor
+        m_values = values / np.float32(1.0 - cfg.beta1)
+        v_values = np.abs(values) / np.float32(1.0 - cfg.beta2)
+        assert tiny < values[5] * np.float32(0.9) < tiny / cfg.learning_rate
         for t in (FLUSH_EVERY - 1, FLUSH_EVERY):
             state = init_adam_state(params)
-            state.m[: len(values)] = values
-            state.v[-len(values):] = np.abs(values)
-            adam_step(params, grads, state, t=t, cfg=TrainConfig())
-            m, v = values * np.float32(0.9), np.abs(values) * np.float32(0.999)
+            state.m[: len(values)] = m_values
+            state.v[-len(values):] = v_values
+            adam_step(params, grads, state, t=t, cfg=cfg)
+            m, v = m_values * np.float32(0.9), v_values * np.float32(0.999)
             if t == FLUSH_EVERY:
                 m[np.abs(m) < m_floor] = 0.0
-                v[np.abs(v) < tiny] = 0.0
+                v[np.abs(v) < v_floor] = 0.0
             assert np.array_equal(state.m[: len(values)], m)
             assert np.array_equal(state.v[-len(values):], v)
             assert np.count_nonzero(state.m[: len(values)] == 0) == (6 if t == FLUSH_EVERY else 0)
