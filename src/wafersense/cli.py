@@ -244,29 +244,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _dedupe_counted(table: ingest.RawTable) -> tuple[ingest.RawTable, int]:
-    """ingest.dedupe, plus the number of rows it dropped."""
-    kept = ingest.dedupe(table)
-    return kept, len(table.rows) - len(kept.rows)
-
-
 def _load_dataset(cfg: RunConfig, data_dir: Path):
     for name in ("sensor.csv", "metrology.csv", "limits.csv"):
         if not (data_dir / name).exists():
             raise ConfigError(f"data dir {data_dir} is missing {name}")
     cat_cols = cfg.sensor_categorical_columns()
-    sensor_raw, sensor_dups = _dedupe_counted(ingest.load_table(
-        data_dir / "sensor.csv", required_columns=ingest.SENSOR_ID_COLUMNS + cat_cols))
-    sensor = ingest.parse_sensor_table(sensor_raw, cat_cols)
-    del sensor_raw  # the row tuples are the largest copy of the data
-    metrology_raw, metrology_dups = _dedupe_counted(ingest.load_table(
-        data_dir / "metrology.csv", required_columns=ingest.METROLOGY_COLUMNS))
-    measurements = ingest.parse_metrology_table(metrology_raw, cfg.monitor_marker())
-    del metrology_raw
-    _status(f"duplicate rows dropped: {sensor_dups} sensor, {metrology_dups} metrology")
-    duplicates = {"sensor": sensor_dups, "metrology": metrology_dups}
+    table = ingest.load_table(data_dir / "sensor.csv", ingest.SENSOR_ID_COLUMNS + cat_cols)
+    sensor, duplicates = ingest.parse_sensor_table(table, cat_cols), {"sensor": table.n_duplicates}
+    table = ingest.load_table(data_dir / "metrology.csv", ingest.METROLOGY_LABELS,
+                              ingest.METROLOGY_NUMBERS)
+    measurements = ingest.parse_metrology_table(table, cfg.monitor_marker())
+    duplicates["metrology"] = table.n_duplicates
+    _status("duplicate rows dropped: {sensor} sensor, {metrology} metrology".format(**duplicates))
     limits = ingest.parse_limits_table(ingest.load_table(
-        data_dir / "limits.csv", required_columns=ingest.LIMITS_COLUMNS))
+        data_dir / "limits.csv", ingest.LIMITS_LABELS, ingest.LIMITS_NUMBERS))
     return ingest.assemble_wafers(sensor, measurements), limits, duplicates
 
 

@@ -1,4 +1,4 @@
-"""Raw table loading, deduplication, wafer assembly and splitting.
+"""CSV loading, wafer assembly and splitting.
 
 The engine consumes three CSV files:
 
@@ -7,17 +7,20 @@ The engine consumes three CSV files:
                    meas_med, passfail, inspection, targ_min, targ_max
 * limits table:    kqi, type, stage, lcl, ucl
 
-Each table is parsed column by column into the tables of ``domain``. Empty
-cells stay missing, never 0: NaN in numeric columns, "" in label columns.
+Each file is streamed into columns and parsed into the tables of ``domain``.
+Empty cells stay missing, never 0: NaN in numeric columns, "" in label columns.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import compress, repeat
+from itertools import compress, count, islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -29,12 +32,15 @@ METROLOGY_COLUMNS = [
     "processing_id", "product_id", "kqi", "type", "stage", "equipid",
     "prod", "meas_med", "passfail", "inspection", "targ_min", "targ_max",
 ]
+METROLOGY_NUMBERS = ["meas_med", "targ_min", "targ_max"]
+METROLOGY_LABELS = [c for c in METROLOGY_COLUMNS if c not in METROLOGY_NUMBERS]
 LIMITS_COLUMNS = ["kqi", "type", "stage", "lcl", "ucl"]
+LIMITS_LABELS, LIMITS_NUMBERS = LIMITS_COLUMNS[:3], LIMITS_COLUMNS[3:]
 SENSOR_ID_COLUMNS = ["processing_id", "product_id", "timestamp"]
+CHUNK_ROWS = 512  # rows read, deduplicated and converted at a time
 
 _EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
-_EMPTY_AS_NAN = {"": "nan"}
 
 
 class IngestError(ValueError):
@@ -42,68 +48,111 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawTable:
-    """A parsed CSV: header names plus rows of cells, "" where a cell is empty."""
+class CsvTable:
+    """A CSV's distinct rows as ``str`` label and float64 number columns (NaN where empty);
+    bad number cells are listed, not raised, so a parse step raises only a kept row's."""
 
-    column_names: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    path: Path
+    columns: dict[str, np.ndarray]
+    numbers: tuple[str, ...]
+    bad_cells: dict[str, tuple[list, list]]  # (row, cell) pairs: not a number, not finite
+    source_rows: np.ndarray                  # the file's data row of each kept row
+    n_read: int
+    n_duplicates: int
 
-    def column_index(self, name: str) -> int:
+    def error(self, row: int, message: str) -> IngestError:
+        line = _line_of(self.path, int(self.source_rows[row]))  # of kept row ``row``
+        return IngestError(f"{self.path.name} line {line}: {message}")
+
+    def check_numbers(self, names, keep=None) -> None:
+        """Raise for the first bad cell of ``names``, column by column, in rows ``keep``."""
+        for name in names:
+            for kind, cells in zip(("not a number", "not a finite number"), self.bad_cells[name]):
+                for row, cell in cells:
+                    if keep is None or keep[row]:
+                        raise self.error(row, f"{name}: {kind}: {cell!r}")
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The CSV line on which data row ``row`` ends (a quoted cell may span lines)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        deque(islice(reader, row + 2), maxlen=0)
+        return reader.line_num
+
+
+def load_table(path, labels: list[str], numbers: list[str] | None = None) -> CsvTable:
+    """Read a CSV into ``str`` columns ``labels`` and float columns ``numbers``
+    (by default every other column), ``CHUNK_ROWS`` rows at a time. Any further
+    column only tells rows apart: a row whose cells all equal an earlier row's
+    is dropped. Rows must have the header's width; a UTF-8 BOM is skipped."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise IngestError(f"missing required column {name!r}") from None
-
-    def columns(self, names: list[str] | None = None) -> list[tuple[str, ...]]:
-        """The cells of every column, or of the named ones."""
-        columns = list(zip(*self.rows)) or [()] * len(self.column_names)
-        return columns if names is None else [columns[self.column_index(n)] for n in names]
-
-
-def load_table(path, required_columns: list[str] | None = None) -> RawTable:
-    """Load a CSV with a header row; every row must have the header's width."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            reader = csv.reader(fh)
             header = next(reader, None)
-            rows = tuple(map(tuple, reader))
+            if header is None:
+                raise IngestError(f"{path}: empty file, header row required")
+            numbers = [n for n in header if n not in labels] if numbers is None else numbers
+            for name in [*labels, *numbers]:
+                if name not in header:
+                    raise IngestError(f"missing required column {name!r}")
+            width = len(header)
+            if len(set(header)) < width:
+                raise IngestError(f"{path}: a column name repeats in the header")
+            cells, memo = {name: [] for name in labels}, {}  # memo: one str per distinct label
+            values, bad = {name: [] for name in numbers}, {name: ([], []) for name in numbers}
+            seen, sources, n_read = set(), [], 0  # sources: the data row of each kept row
+            for chunk in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
+                ragged = next(compress(count(n_read), map(width.__ne__, map(len, chunk))), None)
+                if ragged is not None:
+                    raise IngestError(f"{path}: ragged row at line {_line_of(path, ragged)}")
+                kept = _first_occurrences(chunk, width, seen)
+                columns = list(zip(*map(chunk.__getitem__, kept))) or [()] * width
+                columns = dict(zip(header, columns))
+                for name in labels:
+                    cells[name].extend(map(memo.setdefault, columns[name], columns[name]))
+                for name in numbers:
+                    values[name].append(_numbers(columns[name], len(sources), bad[name]))
+                sources.extend(map(n_read.__add__, kept))
+                n_read += len(chunk)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise IngestError(f"{path}: {exc}") from None
-    if header is None:
-        raise IngestError(f"{path}: empty file, header row required")
-    ragged = [len(row) != len(header) for row in rows]
-    if any(ragged):
-        raise IngestError(f"{path}: ragged row at line {ragged.index(True) + 2}")
-    table = RawTable(tuple(header), rows)
-    for name in required_columns or []:
-        table.column_index(name)
-    return table
+    columns = {name: np.array(c, dtype=object) for name, c in cells.items()}
+    columns.update((name, np.concatenate([*v, np.empty(0)])) for name, v in values.items())
+    return CsvTable(path, columns, tuple(numbers), bad, np.array(sources, np.int64), n_read,
+                    n_read - len(sources))
 
 
-def dedupe(table: RawTable) -> RawTable:
-    """Drop rows that are exact duplicates, keeping first occurrences in order."""
-    return RawTable(table.column_names, tuple(dict.fromkeys(table.rows)))
+def _first_occurrences(chunk: list[list[str]], width: int, seen: set) -> list[int]:
+    """Indices of the rows of ``chunk`` equal to no earlier row, whose keys join
+    ``seen``. A key is the cells joined by NUL, exact while it holds only the
+    ``width - 1`` joints as NULs; any other row is keyed by its tuple."""
+    keys = list(map("\0".join, chunk))
+    if sum(map(str.count, keys, repeat("\0"))) > len(keys) * (width - 1):
+        keys = [k if k.count("\0") == width - 1 else tuple(r) for k, r in zip(keys, chunk)]
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    fresh = first.keys() - seen
+    seen |= fresh
+    return sorted(map(first.__getitem__, fresh))
 
 
-def _first_rejected(parse, cells) -> str:
-    for cell in cells:
+def _numbers(cells, row0: int, bad: tuple[list, list]) -> np.ndarray:
+    """Floats of one chunk's cells by ``float``, NaN where empty; a cell ``float``
+    rejects (read as NaN) or reads non-finite goes to ``bad`` as (row0 + index, cell)."""
+    as_nan = {"": "nan"}
+    with suppress(ValueError):
+        values = np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
+        if np.isfinite(values).sum() + cells.count("") == len(cells):
+            return values
+    for row, cell in enumerate(cells, row0):
         try:
-            parse(cell)
+            if cell and not np.isfinite(float(cell)):
+                bad[1].append((row, cell))
         except ValueError:
-            return cell
-
-
-def _float_column(cells, name: str) -> np.ndarray:
-    """Finite floats parsed with ``float``, NaN for an empty cell; inf and nan are rejected."""
-    try:
-        values = np.array(list(map(float, map(_EMPTY_AS_NAN.get, cells, cells))), dtype=np.float64)
-    except ValueError:
-        bad = _first_rejected(float, [cell for cell in cells if cell])
-        raise IngestError(f"{name}: not a number: {bad!r}") from None
-    for i in np.flatnonzero(np.isnan(values) | np.isinf(values)):
-        if cells[i]:
-            raise IngestError(f"{name}: not a finite number: {cells[i]!r}")
-    return values
+            bad[0].append((row, cell))
+            as_nan[cell] = "nan"
+    return np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
 
 
 def datetime_features(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,52 +168,45 @@ def datetime_features(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seconds / 86400.0, (day - year_start.astype(np.int64)) / 366.0
 
 
-def _parse_timestamps(cells) -> tuple[np.ndarray, np.ndarray]:
-    """(wall-clock, UTC) microseconds since 1970-01-01 of ISO-8601 timestamps;
-    without an offset both are the wall clock, and a mix has no common order."""
-    try:
-        stamps = [datetime.fromisoformat(cell) for cell in cells]
-    except ValueError:
-        bad = _first_rejected(datetime.fromisoformat, cells)
-        raise IngestError(f"unparseable timestamp {bad!r}") from None
+def _parse_timestamps(table: CsvTable, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(wall-clock, UTC) microseconds since 1970-01-01 of the ISO-8601 timestamps of
+    ``rows``; without an offset both are the wall clock, and a mix has no common order."""
+    stamps = []
+    for row, cell in zip(rows, table.columns["timestamp"][rows]):
+        try:
+            stamps.append(datetime.fromisoformat(cell))
+        except ValueError:
+            raise table.error(row, f"unparseable timestamp {cell!r}") from None
     if not any(t.tzinfo for t in stamps):
         wall = np.array([(t - _EPOCH) // _US for t in stamps], dtype=np.int64)
         return wall, wall
     if not all(t.tzinfo for t in stamps):
-        raise IngestError("timestamps with and without a UTC offset are mixed")
+        raise IngestError(f"{table.path.name}: timestamps with and without a UTC offset are mixed")
     wall = np.array([(t.replace(tzinfo=None) - _EPOCH) // _US for t in stamps], dtype=np.int64)
     offset = np.array([t.utcoffset() // _US for t in stamps], dtype=np.int64)
     return wall, wall - offset
 
 
-def parse_sensor_table(table: RawTable, categorical_columns: list[str]) -> SensorTable:
+def parse_sensor_table(table: CsvTable, categorical_columns: list[str]) -> SensorTable:
     """Group sensor rows by wafer and sort each wafer's steps chronologically.
 
     Wafers keep the order of their first row; steps with equal timestamps keep
-    file order. Every non-id, non-timestamp column outside
-    ``categorical_columns`` is numeric. Rows without an id or a timestamp are
-    skipped.
+    file order. The table's number columns are the readings. Rows without an
+    id or a timestamp are skipped, and a bad cell in one of them is no error.
     """
-    idx_proc, idx_prod, idx_ts = (table.column_index(c) for c in SENSOR_ID_COLUMNS)
-    cat_idx = [table.column_index(c) for c in categorical_columns]
-    special = {idx_proc, idx_prod, idx_ts, *cat_idx}
-    num_idx = [i for i in range(len(table.column_names)) if i not in special]
+    col = table.columns
+    present = (col["processing_id"] != "") & (col["product_id"] != "") & (col["timestamp"] != "")
+    rows = np.flatnonzero(present)
+    if len(rows) < len(present):
+        log.warning("%d sensor rows with missing id or timestamp skipped", len(present) - len(rows))
 
-    columns = table.columns()
-    present = [bool(p and q and t) for p, q, t in
-               zip(columns[idx_proc], columns[idx_prod], columns[idx_ts])]
-    if not all(present):
-        log.warning("%d sensor rows with missing id or timestamp skipped",
-                    len(present) - sum(present))
-        columns = [list(compress(col, present)) for col in columns]
+    wall, instant = _parse_timestamps(table, rows)
+    table.check_numbers(table.numbers, present)
+    numeric = np.column_stack([col[n][rows] for n in table.numbers] + [*datetime_features(wall)])
+    categorical = np.array([col[name][rows] for name in categorical_columns], dtype=object)
+    categorical = categorical.T.reshape(len(rows), len(categorical_columns))
 
-    wall, instant = _parse_timestamps(columns[idx_ts])
-    numeric = np.column_stack([*(_float_column(columns[i], table.column_names[i])
-                                 for i in num_idx), *datetime_features(wall)])
-    categorical = np.array([columns[i] for i in cat_idx], dtype=object)
-    categorical = categorical.T.reshape(sum(present), len(cat_idx))
-
-    keys = list(zip(columns[idx_proc], columns[idx_prod]))
+    keys = list(zip(col["processing_id"][rows], col["product_id"][rows]))
     index = {key: w for w, key in enumerate(dict.fromkeys(keys))}  # first-appearance order
     wafer = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
     order = np.lexsort((instant, wafer))
@@ -173,8 +215,7 @@ def parse_sensor_table(table: RawTable, categorical_columns: list[str]) -> Senso
         processing_id=ids[:, 0], product_id=ids[:, 1],
         starts=np.concatenate([[0], np.cumsum(np.bincount(wafer, minlength=len(index)))]),
         time_us=instant[order], numeric=numeric[order], categorical=categorical[order],
-        numeric_names=tuple(table.column_names[i] for i in num_idx),
-        categorical_names=tuple(categorical_columns))
+        numeric_names=table.numbers, categorical_names=tuple(categorical_columns))
 
 
 def _label_column(cells, from_label) -> np.ndarray:
@@ -182,36 +223,34 @@ def _label_column(cells, from_label) -> np.ndarray:
     return np.array([values[label] for label in cells], dtype=object)
 
 
-def parse_metrology_table(table: RawTable, monitor_marker: str = "MON") -> MeasurementTable:
+def parse_metrology_table(table: CsvTable, monitor_marker: str = "MON") -> MeasurementTable:
     """Parse metrology rows into a MeasurementTable.
 
     ``is_monitor`` is derived from the presence of ``monitor_marker`` as a
     substring of the KQI label. Rows without a usable meas_med or wafer id, or
-    with an inverted targ pair, are skipped with a diagnostic.
+    with an inverted targ pair, are skipped with a diagnostic; a bad targ cell
+    in a row skipped for its meas_med or id is no error.
     """
-    col = dict(zip(METROLOGY_COLUMNS, (np.array(c, dtype=object) for c in
-                                       table.columns(METROLOGY_COLUMNS))))
-    meas_med = _float_column(col["meas_med"], "meas_med")
-    keep = ~np.isnan(meas_med) & (col["processing_id"] != "") & (col["product_id"] != "")
-    lo, hi = np.full((2, len(meas_med)), np.nan)
-    lo[keep], hi[keep] = (_float_column(col[name][keep], name) for name in ("targ_min", "targ_max"))
-    inverted = keep & ~(lo < hi) & ~np.isnan(lo) & ~np.isnan(hi)
+    col = table.columns
+    table.check_numbers(["meas_med"])
+    keep = ~np.isnan(col["meas_med"]) & (col["processing_id"] != "") & (col["product_id"] != "")
+    table.check_numbers(["targ_min", "targ_max"], keep)
+    inverted = keep & (col["targ_min"] >= col["targ_max"])  # False where either is NaN
     keep &= ~inverted
     if not keep.all():
         log.info("parse_metrology_table: skipped %d unusable rows, %d of them with "
                  "targ_min >= targ_max", len(keep) - keep.sum(), inverted.sum())
-    fields = {("mtype" if name == "type" else name): values[keep] for name, values in col.items()}
-    fields.update(meas_med=meas_med[keep], targ_min=lo[keep], targ_max=hi[keep],
-                  passfail=_label_column(fields["passfail"], PassFail.from_label),
+    fields = {("mtype" if name == "type" else name): col[name][keep] for name in METROLOGY_COLUMNS}
+    fields.update(passfail=_label_column(fields["passfail"], PassFail.from_label),
                   inspection=_label_column(fields["inspection"], Inspection.from_label),
                   is_monitor=np.array([monitor_marker in kqi for kqi in fields["kqi"]], dtype=bool))
     return MeasurementTable(**fields)
 
 
-def parse_limits_table(table: RawTable) -> dict[tuple[str, str, str], tuple[float, float]]:
+def parse_limits_table(table: CsvTable) -> dict[tuple[str, str, str], tuple[float, float]]:
     """Read the fallback (lcl, ucl) table keyed by (kqi, type, stage)."""
-    kqi, mtype, stage, lcl, ucl = table.columns(LIMITS_COLUMNS)
-    lo, hi = _float_column(lcl, "lcl"), _float_column(ucl, "ucl")
+    table.check_numbers(LIMITS_NUMBERS)
+    kqi, mtype, stage, lo, hi = (table.columns[name] for name in LIMITS_COLUMNS)
     valid = lo < hi
     if not valid.all():
         log.warning("%d limits rows skipped: missing or lcl >= ucl", len(valid) - valid.sum())

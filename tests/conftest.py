@@ -12,9 +12,16 @@ from wafersense.domain import MeasurementTable, SensorTable, WaferTable
 from wafersense.ingest import datetime_features
 from wafersense.nn import ModelParams
 
-# The deeper run CI makes of the generator's reference test:
+# The deeper run CI makes of the reference and ingest tests:
 # pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=300, deadline=None)
+
+
+def examples(n: int) -> int:
+    """``n`` Hypothesis examples under the default profile's 100, scaled with
+    the loaded profile's count (three times as many under ``ci``)."""
+    return n * settings.default.max_examples // 100
+
 
 TINY_CONFIG = """\
 [synth]

@@ -201,8 +201,10 @@ def test_criterion_8_join_width_law(tiny_run):
     s, m = manifest["s_width"], manifest["m_width"]
 
     cat_cols = cfg_obj.sensor_categorical_columns()
-    sensor_raw = ingest.dedupe(ingest.load_table(tiny_run["data"] / "sensor.csv"))
-    metrology_raw = ingest.dedupe(ingest.load_table(tiny_run["data"] / "metrology.csv"))
+    sensor_raw = ingest.load_table(tiny_run["data"] / "sensor.csv",
+                                   ingest.SENSOR_ID_COLUMNS + cat_cols)
+    metrology_raw = ingest.load_table(tiny_run["data"] / "metrology.csv",
+                                      ingest.METROLOGY_LABELS, ingest.METROLOGY_NUMBERS)
     wafers = ingest.assemble_wafers(
         ingest.parse_sensor_table(sensor_raw, cat_cols),
         ingest.parse_metrology_table(metrology_raw))

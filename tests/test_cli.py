@@ -200,6 +200,16 @@ class TestPreprocess:
         manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
         assert manifest["duplicate_rows_dropped"] == written
 
+    @pytest.mark.parametrize("name", ["sensor.csv", "metrology.csv", "limits.csv"])
+    def test_byte_order_mark_before_the_header_is_accepted(self, tiny_run, tmp_path, name):
+        data = tmp_path / "d"
+        shutil.copytree(tiny_run["data"], data)
+        (data / name).write_bytes(b"\xef\xbb\xbf" + (data / name).read_bytes())
+        assert run_cli("preprocess", "--config", tiny_run["config"], "--data", data,
+                       "--out", tmp_path / "f") == 0
+        for path in sorted(tiny_run["features"].iterdir()):
+            assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_listed_bucket_missing_or_resized_is_an_error(self, tiny_run, tmp_path):
         features = tmp_path / "features"
         shutil.copytree(tiny_run["features"], features)

@@ -19,7 +19,7 @@ from wafersense import ingest, preprocess
 from wafersense.normgroups import read_groups_csv
 
 import rowref
-from conftest import run_cli
+from conftest import examples, run_cli
 
 SENSOR_HEADER = ["processing_id", "product_id", "timestamp", "s0", "s1", "s2", "cat_00", "cat_01"]
 STAMPS = ["2022-01-01T00:00:00", "2022-01-01T00:00:00.5", "2022-03-01 12:30:00",
@@ -107,7 +107,7 @@ def assert_features_equal(features: Path, reference) -> None:
 CONFIGS = [("MON", False, 0), ("MON", True, 3), ("KQI-2", False, 7)]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(datasets(), st.sampled_from(CONFIGS))
 def test_preprocess_matches_row_reference(tmp_path_factory, dataset, config):
     marker, train_on_monitor, seed = config
@@ -136,12 +136,16 @@ def test_reference_fixture_dataset_matches(tiny_run):
     assert_features_equal(tiny_run["features"], reference)
 
 
+# (labels, numbers) of each file, as the command line reads them
+COLUMNS = {"sensor": (ingest.SENSOR_ID_COLUMNS + ["cat_00", "cat_01"], None),
+           "metrology": (ingest.METROLOGY_LABELS, ingest.METROLOGY_NUMBERS),
+           "limits": (ingest.LIMITS_LABELS, ingest.LIMITS_NUMBERS)}
 GARBAGE = ["", "x", "1", "nan", "inf", "-", "1e999", "1_0", " ", "P1", "W1", "MON",
            "2022-01-01", "2022-13-01", "2022-01-01T00:00:00+01:00", "2022-01-01T25:00",
            "Ä", "\"", "a,b"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.lists(st.lists(st.sampled_from(GARBAGE), max_size=14), max_size=12),
        st.booleans(), st.sampled_from(["sensor", "metrology", "limits"]))
 def test_garbled_input_parses_or_raises_ingest_error(tmp_path_factory, rows, ragged, kind):
@@ -152,11 +156,12 @@ def test_garbled_input_parses_or_raises_ingest_error(tmp_path_factory, rows, rag
     path = tmp_path_factory.mktemp("garbled") / f"{kind}.csv"
     write_csv(path, header, rows)
     try:
-        table = ingest.dedupe(ingest.load_table(path))
+        table = ingest.load_table(path, *COLUMNS[kind])
         if kind == "sensor":
             sensor = ingest.parse_sensor_table(table, ["cat_00", "cat_01"])
-            metrology = ingest.parse_metrology_table(ingest.RawTable(
-                tuple(ingest.METROLOGY_COLUMNS), ()))
+            empty = path.with_name("metrology.csv")
+            write_csv(empty, ingest.METROLOGY_COLUMNS, [])
+            metrology = ingest.parse_metrology_table(ingest.load_table(empty, *COLUMNS["metrology"]))
             ingest.assemble_wafers(sensor, metrology)
         elif kind == "metrology":
             ingest.parse_metrology_table(table)

@@ -1,3 +1,7 @@
+import csv
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,11 +9,10 @@ from hypothesis import given, strategies as st
 from wafersense import ingest
 from wafersense.ingest import (
     IngestError,
-    RawTable,
-    dedupe,
     load_table,
     split_train_val_test,
 )
+from wafersense.synthgen import SynthConfig, generate
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -18,49 +21,137 @@ def write(tmp_path, text, name="t.csv"):
     return path
 
 
+def write_rows(tmp_path, header, rows, name="t.csv"):
+    path = tmp_path / name
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+def kept_rows(table, names):
+    return list(zip(*(table.columns[name].tolist() for name in names)))
+
+
 class TestLoadTable:
     def test_basic(self, tmp_path):
-        table = load_table(write(tmp_path, "a,b\n1,2\n3,4\n5,6\n"))
-        assert table.column_names == ("a", "b")
-        assert len(table.rows) == 3
+        table = load_table(write(tmp_path, "a,b\n1,2\n3,4\n5,6\n"), ["a"])
+        assert tuple(table.columns) == ("a", "b")
+        assert (table.n_read, table.n_duplicates) == (3, 0)
+        assert table.columns["a"].tolist() == ["1", "3", "5"]
+        assert table.columns["b"].tolist() == [2.0, 4.0, 6.0]
 
     def test_ragged_row_reports_line(self, tmp_path):
         with pytest.raises(IngestError, match="ragged row at line 3"):
-            load_table(write(tmp_path, "a,b\n1,2\n1,2,3\n"))
+            load_table(write(tmp_path, "a,b\n1,2\n1,2,3\n"), ["a"])
+
+    def test_ragged_row_line_counts_a_quoted_newline(self, tmp_path):
+        with pytest.raises(IngestError, match="ragged row at line 4$"):
+            load_table(write(tmp_path, 'a,b\n"x\ny",2\n1,2,3\n'), ["a"])
 
     def test_empty_cell_is_missing_not_zero(self, tmp_path):
-        table = load_table(write(tmp_path, "a,b\n1,\n"))
-        assert table.rows[0] == ("1", "")
-        assert table.columns() == [("1",), ("",)]
+        path = write(tmp_path, "a,b\n1,\n")
+        assert kept_rows(load_table(path, ["a", "b"], []), ["a", "b"]) == [("1", "")]
+        assert np.isnan(load_table(path, ["a"]).columns["b"]).tolist() == [True]
 
     def test_missing_required_column(self, tmp_path):
         with pytest.raises(IngestError, match="missing required column 'c'"):
-            load_table(write(tmp_path, "a,b\n1,2\n"), required_columns=["c"])
+            load_table(write(tmp_path, "a,b\n1,2\n"), ["c"])
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(IngestError, match="header"):
-            load_table(write(tmp_path, ""))
+            load_table(write(tmp_path, ""), [])
+
+    def test_byte_order_mark_before_the_header_is_dropped(self, tmp_path):
+        table = load_table(write(tmp_path, "\ufeffa,b\n1,2\n"), ["a"])
+        assert tuple(table.columns) == ("a", "b")
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        with pytest.raises(IngestError, match="repeats"):
+            load_table(write(tmp_path, "a,b,b\n1,2,3\n"), ["a"])
+
+    def test_column_outside_labels_and_numbers_only_tells_rows_apart(self, tmp_path):
+        table = load_table(write(tmp_path, "a,b,c\nx,1,p\nx,1,q\nx,1,p\n"), ["a"], ["b"])
+        assert tuple(table.columns) == ("a", "b")
+        assert (table.n_read, table.n_duplicates) == (3, 1)
+
+    def test_memory_peak_stays_near_the_file_size(self, tmp_path):
+        """The row-tuple layer this reader replaced peaked at ~4.4 times the
+        file size here, one str object per cell and one tuple per row; the
+        streamed columns peak at ~2.8 times, mostly the duplicate keys."""
+        generate(SynthConfig(n_wafers=2000, seed=7), tmp_path)
+        path = tmp_path / "sensor.csv"
+        tracemalloc.start()
+        try:
+            table = load_table(path, ingest.SENSOR_ID_COLUMNS + ["cat_00", "cat_01"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_read > 5000
+        assert peak < 3.5 * path.stat().st_size
+
+
+CELLS = ["", "a", "b", "1", "1.0", "\0", "a\0", "\0a", "a\0b", "\0\0", ",", "a,", ",a", '"', "x\ny"]
 
 
 class TestDedupe:
-    def test_adjacent_duplicate(self):
-        t = RawTable(("a",), (("A",), ("A",), ("B",)))
-        assert dedupe(t).rows == (("A",), ("B",))
+    def load(self, tmp_path, rows):
+        return load_table(write_rows(tmp_path, ["a", "b"], rows), ["a", "b"], [])
 
-    def test_noop(self):
-        t = RawTable(("a",), (("A",), ("B",)))
-        assert dedupe(t).rows == (("A",), ("B",))
+    def test_adjacent_duplicate(self, tmp_path):
+        table = self.load(tmp_path, [("A", "1"), ("A", "1"), ("B", "1")])
+        assert kept_rows(table, ["a", "b"]) == [("A", "1"), ("B", "1")]
 
-    def test_non_adjacent_duplicate(self):
-        t = RawTable(("a",), (("A",), ("B",), ("A",)))
-        assert dedupe(t).rows == (("A",), ("B",))
+    def test_noop(self, tmp_path):
+        table = self.load(tmp_path, [("A", "1"), ("B", "1")])
+        assert kept_rows(table, ["a", "b"]) == [("A", "1"), ("B", "1")]
+
+    def test_non_adjacent_duplicate(self, tmp_path):
+        table = self.load(tmp_path, [("A", "1"), ("B", "1"), ("A", "1")])
+        assert kept_rows(table, ["a", "b"]) == [("A", "1"), ("B", "1")]
+        assert table.source_rows.tolist() == [0, 1]
 
     @given(st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
                               st.sampled_from(["1", "2"])), max_size=20))
-    def test_idempotent(self, rows):
-        t = RawTable(("a", "b"), tuple(rows))
-        once = dedupe(t)
-        assert dedupe(once) == once
+    def test_idempotent(self, tmp_path_factory, rows):
+        tmp_path = tmp_path_factory.mktemp("dedupe")
+        once = kept_rows(self.load(tmp_path, rows), ["a", "b"])
+        again = self.load(tmp_path, once)
+        assert kept_rows(again, ["a", "b"]) == once
+        assert again.n_duplicates == 0
+
+    @pytest.mark.parametrize("rows", [
+        [("a\0", "b"), ("a", "\0b")],
+        [("\0", ""), ("", "\0")],
+        [("a,", "b"), ("a", ",b")],
+        [("a\0b", "c"), ("a", "b\0c")],
+    ])
+    def test_rows_differing_only_in_where_a_nul_or_comma_sits_are_kept(self, tmp_path, rows):
+        table = self.load(tmp_path, rows + rows)
+        assert kept_rows(table, ["a", "b"]) == rows
+        assert table.n_duplicates == 2
+
+    def test_rows_differing_only_in_number_spelling_are_kept(self, tmp_path):
+        table = load_table(write(tmp_path, "a,b\nx,1\nx,1.0\nx,1\n"), ["a"])
+        assert table.columns["b"].tolist() == [1.0, 1.0]
+        assert table.n_duplicates == 1
+
+    def test_equal_rows_on_either_side_of_a_chunk_boundary_are_dropped(self, tmp_path):
+        n = ingest.CHUNK_ROWS
+        rows = [(str(i), "x") for i in range(n)] + [("0", "x"), (str(n - 1), "x"), ("new", "x")]
+        table = self.load(tmp_path, rows)
+        assert table.n_read == n + 3
+        assert table.n_duplicates == 2
+        assert kept_rows(table, ["a", "b"]) == rows[:n] + [("new", "x")]
+        assert table.source_rows[-1] == n + 2
+
+    @given(st.lists(st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS)), max_size=40),
+           st.integers(1, 7))
+    def test_count_equals_dict_fromkeys(self, tmp_path_factory, rows, chunk):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+            table = self.load(tmp_path_factory.mktemp("dedupe"), rows)
+        expected = list(dict.fromkeys(rows))
+        assert kept_rows(table, ["a", "b"]) == expected
+        assert (table.n_read, table.n_duplicates) == (len(rows), len(rows) - len(expected))
 
 
 class TestSplit:
@@ -93,7 +184,12 @@ METROLOGY_HEADER = ",".join(ingest.METROLOGY_COLUMNS)
 
 
 def metrology(tmp_path, *rows):
-    return load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"))
+    return load_table(write(tmp_path, METROLOGY_HEADER + "\n" + "\n".join(rows) + "\n"),
+                      ingest.METROLOGY_LABELS, ingest.METROLOGY_NUMBERS)
+
+
+def sensor(tmp_path, text, categorical=(), name="t.csv"):
+    return load_table(write(tmp_path, text, name), ingest.SENSOR_ID_COLUMNS + list(categorical))
 
 
 class TestMetrology:
@@ -121,7 +217,7 @@ class TestSensorParsing:
             "P1,W1,2022-01-01T00:10:00,5,,A\n"
             "P1,W1,2022-01-01T00:00:00,1,2,B\n"
         )
-        table = load_table(write(tmp_path, text))
+        table = sensor(tmp_path, text, ["cat"])
         steps = ingest.parse_sensor_table(table, categorical_columns=["cat"])
         assert steps.wafer_id(0) == ("P1", "W1")
         assert (steps.time_us[1] - steps.time_us[0]) // 60_000_000 == 10
@@ -133,7 +229,7 @@ class TestSensorParsing:
         text = ("processing_id,product_id,timestamp,s0\n"
                 "P1,W1,2022-01-01T06:00:00+05:00,1\n"   # 01:00 UTC
                 "P1,W1,2022-01-01T03:00:00+00:00,2\n")  # 03:00 UTC
-        steps = ingest.parse_sensor_table(load_table(write(tmp_path, text)), [])
+        steps = ingest.parse_sensor_table(sensor(tmp_path, text), [])
         assert steps.numeric[:, 0].tolist() == [1.0, 2.0]
         assert steps.numeric[:, 1].tolist() == [0.25, 0.125]  # 06:00 and 03:00 wall clock
 
@@ -142,14 +238,14 @@ class TestSensorParsing:
                 "P1,W1,2022-01-01T06:00:00+05:00,1\n"
                 "P2,W1,2022-01-01T03:00:00,2\n")
         with pytest.raises(IngestError, match="with and without a UTC offset"):
-            ingest.parse_sensor_table(load_table(write(tmp_path, text)), [])
+            ingest.parse_sensor_table(sensor(tmp_path, text), [])
 
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "NaN"])
     def test_non_finite_sensor_cell_names_its_column(self, tmp_path, cell):
         text = ("processing_id,product_id,timestamp,s0,s1\n"
                 f"P1,W1,2022-01-01T00:00:00,1,{cell}\n")
         with pytest.raises(IngestError, match=f"s1: not a finite number: '{cell}'"):
-            ingest.parse_sensor_table(load_table(write(tmp_path, text)), categorical_columns=[])
+            ingest.parse_sensor_table(sensor(tmp_path, text), categorical_columns=[])
 
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     def test_non_finite_measurement_rejected(self, tmp_path, cell):
@@ -161,8 +257,74 @@ class TestSensorParsing:
         text = ("processing_id,product_id,timestamp,s0\n"
                 "P1,W1,2022-01-01T00:00:00,1\n"
                 "P1,W2,2022-01-01T00:00:00,1\n")
-        steps = ingest.parse_sensor_table(load_table(write(tmp_path, text, "s.csv")), [])
+        steps = ingest.parse_sensor_table(sensor(tmp_path, text, name="s.csv"), [])
         table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,,")
         wafers = list(ingest.assemble_wafers(steps, ingest.parse_metrology_table(table)))
         assert [w.id for w in wafers] == [("P1", "W1")]
         assert len(wafers[0].measurements) == 1
+
+
+SENSOR_HEADER = "processing_id,product_id,timestamp,s0,s1,cat\n"
+
+
+class TestBadCells:
+    """Bad cells are found while reading and raised by the parse step, only for
+    the rows it keeps: timestamps first, then column by column, and within a
+    column "not a number" before "not a finite number"."""
+
+    def parse_sensor(self, tmp_path, rows):
+        table = sensor(tmp_path, SENSOR_HEADER + "".join(rows), ["cat"], name="sensor.csv")
+        return ingest.parse_sensor_table(table, ["cat"])
+
+    def test_error_names_the_file_and_the_line_of_the_row(self, tmp_path):
+        rows = ['P1,W1,2022-01-01T00:00:00,1,2,"two\nlines"\n',
+                'P1,W1,2022-01-01T00:00:00,1,2,"two\nlines"\n',  # a duplicate, dropped
+                "P2,W1,2022-01-01T00:00:00,x,2,A\n"]
+        with pytest.raises(IngestError, match=r"^sensor\.csv line 6: s0: not a number: 'x'$"):
+            self.parse_sensor(tmp_path, rows)
+
+    def test_timestamp_error_names_the_file_and_the_line_of_the_row(self, tmp_path):
+        rows = [",W1,2022-01-01T00:00:00,1,2,A\n",  # no id: skipped
+                "P1,W1,2022-01-01T00:00:00,1,2,A\n",
+                "P2,W1,2022-01-01X,1,2,A\n"]
+        with pytest.raises(IngestError, match=r"^sensor\.csv line 4: unparseable timestamp "
+                                              r"'2022-01-01X'$"):
+            self.parse_sensor(tmp_path, rows)
+
+    def test_bad_cell_in_a_skipped_sensor_row_is_no_error(self, tmp_path):
+        rows = ["P1,W1,2022-01-01T00:00:00,1,2,A\n", "P1,,2022-01-01T00:00:00,x,inf,A\n",
+                "P1,W1,,x,2,A\n"]
+        assert len(self.parse_sensor(tmp_path, rows).numeric) == 1
+
+    @pytest.mark.parametrize("rows, message", [
+        (["P1,W1,2022-01-01T00:00:00,1,x,A\n", "P1,W1,bad,1,2,A\n"],
+         "line 3: unparseable timestamp 'bad'"),
+        (["P1,W1,2022-01-01T00:00:00,1,x,A\n", "P1,W1,2022-01-01T00:00:00,y,2,A\n"],
+         "line 3: s0: not a number: 'y'"),
+        (["P1,W1,2022-01-01T00:00:00,inf,2,A\n", "P1,W1,2022-01-01T00:00:00,y,2,A\n"],
+         "line 3: s0: not a number: 'y'"),
+        (["P1,W1,2022-01-01T00:00:00,1,nan,A\n", "P1,W1,2022-01-01T00:00:00,1,inf,A\n"],
+         "line 2: s1: not a finite number: 'nan'"),
+    ], ids=["timestamp-first", "column-order", "not-a-number-first", "row-order"])
+    def test_precedence(self, tmp_path, rows, message):
+        with pytest.raises(IngestError, match=f"^sensor\\.csv {message}$"):
+            self.parse_sensor(tmp_path, rows)
+
+    def test_bad_targ_cell_in_a_skipped_metrology_row_is_no_error(self, tmp_path):
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,1,2",
+                          "P1,W1,KQI-1,T,S,E,R,,PASS,NONE,x,inf",
+                          ",W1,KQI-1,T,S,E,R,1.0,PASS,NONE,x,inf")
+        assert len(ingest.parse_metrology_table(table)) == 1
+
+    def test_metrology_meas_med_before_targ_and_in_every_row(self, tmp_path):
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,PASS,NONE,x,2",
+                          ",W1,KQI-1,T,S,E,R,y,PASS,NONE,1,2")
+        with pytest.raises(IngestError, match=r"^t\.csv line 3: meas_med: not a number: 'y'$"):
+            ingest.parse_metrology_table(table)
+
+    def test_limits_error_names_the_line(self, tmp_path):
+        table = load_table(write(tmp_path, "kqi,type,stage,lcl,ucl\nK,T,S,1,2\nK,T,S,1,1e999\n",
+                                 "limits.csv"), ["kqi", "type", "stage"])
+        with pytest.raises(IngestError, match=r"^limits\.csv line 3: ucl: not a finite "
+                                              r"number: '1e999'$"):
+            ingest.parse_limits_table(table)
