@@ -137,16 +137,14 @@ class RunConfig:
 
     def train_config(self, loss_override: str | None = None,
                      seed_override: int | None = None) -> TrainConfig:
-        kwargs = dict(
-            loss=loss_override or self.get("train", "loss", "re"),
-            learning_rate=self.get_number("train", "learning_rate", 1e-4),
-            batch_size=self.get_number("train", "batch_size", 16),
-            patience=self.get_number("train", "patience", 10),
-            max_epochs=self.get_number("train", "max_epochs", 200),
-            seed=seed_override if seed_override is not None
-            else self.get_number("train", "seed", 0),
-            re_c=self.get_number("train", "re_loss_c", 10.0),
-        )
+        """TrainConfig from the [train] keys given; the others keep TrainConfig's defaults."""
+        kwargs = {"loss": loss_override or self.get("train", "loss", TrainConfig.loss)}
+        for key in self.raw.get("train", {}):
+            if key != "loss":
+                field = "re_c" if key == "re_loss_c" else key
+                kwargs[field] = self.get_number("train", key, getattr(TrainConfig, field))
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
         try:
             return TrainConfig(**kwargs)
         except ValueError as exc:
@@ -160,7 +158,7 @@ class RunConfig:
 
     def f_grid(self, override: str | None = None) -> tuple[float, ...]:
         """The sweep's f values: a nonempty list, each f in [0, 0.5)."""
-        raw = override or self.get("eval", "f_grid")
+        raw = override if override is not None else self.get("eval", "f_grid")
         if raw is None:
             return ev.DEFAULT_F_GRID
         try:
@@ -325,13 +323,12 @@ def cmd_train(args) -> int:
         raise ConfigError("empty train or val set after filtering")
     groups = normgroups.read_groups_csv(features_dir / "groups.csv")
 
-    require_groups = train_cfg.loss == "nl1"
     tb = make_train_buckets(train_buckets, manifest["s_width"], manifest["m_width"],
-                            groups, require_groups)
+                            groups, train_cfg)
     vb = make_train_buckets(val_buckets, manifest["s_width"], manifest["m_width"],
-                            groups, require_groups)
+                            groups, train_cfg)
     n_train = sum(len(b) for b in tb)
-    _status(f"training {preset} model ({args.loss or train_cfg.loss} loss) on "
+    _status(f"training {preset} model ({train_cfg.loss} loss) on "
             f"{n_train} samples, validating on {sum(len(b) for b in vb)}")
 
     params, history = fit(arch, tb, vb, train_cfg)

@@ -1,8 +1,10 @@
-"""Training: the two loss functions, Adam, and the epoch loop.
+"""Training: the loss, Adam, and the epoch loop.
 
-The relative-error loss trains the model directly on the raw target
-scale; the normalized L1 loss trains it on the per-group (b1, b2) scale,
-so predictions from an NL1 model must be mapped back before evaluation.
+Both losses are one weighted L1, |prediction - target| / scale, with a
+per-sample (target, scale) fixed when the train buckets are built. The
+relative-error loss trains the model directly on the raw target scale; the
+normalized L1 loss trains it on the per-group (b1, b2) scale, so predictions
+from an NL1 model must be mapped back before evaluation.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import ctypes
 import functools
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,9 +44,6 @@ class TrainConfig:
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     re_c: float = 10.0
 
     def __post_init__(self) -> None:
@@ -55,58 +55,47 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not self.re_c > 0:
-            raise ValueError(f"re_loss_c must be > 0, got {self.re_c}")
+        if not (math.isfinite(self.re_c) and self.re_c > 0):
+            raise ValueError(f"re_loss_c must be > 0 and finite, got {self.re_c}")
 
 
-class ReLossFn:
-    """Vectorized relative-error loss with its derivative in the prediction."""
+@dataclass(frozen=True)
+class RELossConfig:
+    """The settings argument of re_loss, e.g. RELossConfig(c=10.0)."""
 
-    def __init__(self, c: float = 10.0):
-        self.c = float(c)
-
-    def values_and_grads(self, preds, targets, b1, b2):
-        preds = np.asarray(preds, dtype=np.float64)
-        denom = np.maximum(np.abs(targets), self.c)
-        diff = preds - targets
-        return np.abs(diff) / denom, np.sign(diff) / denom
+    c: float = 10.0
 
 
-class Nl1LossFn:
-    """Vectorized normalized-L1 loss; targets are mapped with the sample's (b1, b2)."""
-
-    def values_and_grads(self, preds, targets, b1, b2):
-        preds = np.asarray(preds, dtype=np.float64)
-        diff = preds - (targets - b1) / (b2 - b1)
-        return np.abs(diff), np.sign(diff)
+def weighted_l1(preds, target, scale):
+    """Per-sample |preds - target| / scale and its derivative in the prediction."""
+    diff = preds - target
+    return np.abs(diff) / scale, np.sign(diff) / scale
 
 
-RELossConfig = ReLossFn  # the settings argument of re_loss, e.g. RELossConfig(c=10.0)
+def re_scale(y, c: float):
+    """max(|y|, c): the relative-error divisor, saturated at c."""
+    return np.maximum(np.abs(y), c)
 
 
-def re_loss(y_hat: float, y: float, cfg: ReLossFn = ReLossFn()) -> float:
+def re_loss(y_hat: float, y: float, cfg: RELossConfig = RELossConfig()) -> float:
     """|y_hat - y| / max(|y|, c): relative error with a saturated denominator."""
-    return cfg.values_and_grads(np.array([y_hat]), np.array([y], float), None, None)[0].item()
-
-
-def make_loss_fn(cfg: TrainConfig):
-    return ReLossFn(cfg.re_c) if cfg.loss == LOSS_RE else Nl1LossFn()
+    return weighted_l1(y_hat, y, re_scale(y, cfg.c))[0].item()
 
 
 @dataclass
 class TrainBucket:
-    """Model-ready view of one n_steps bucket."""
+    """Model-ready view of one n_steps bucket; the loss of sample i is
+    |prediction - target[i]| / scale[i]."""
 
     n_steps: int
     steps: np.ndarray   # (N, n_steps, S)
     meas: np.ndarray    # (N, M)
-    target: np.ndarray  # (N,)
-    b1: np.ndarray      # (N,), NaN where the sample's key has no group
-    b2: np.ndarray
+    target: np.ndarray  # (N,) y for RE, (y - b1) / (b2 - b1) for NL1
+    scale: np.ndarray   # (N,) max(|y|, c) for RE, 1.0 for NL1
 
     def __len__(self) -> int:
         return len(self.target)
@@ -117,25 +106,29 @@ def make_train_buckets(
     s_width: int,
     m_width: int,
     groups: dict[GroupKey, NormalizationGroup],
-    require_groups: bool,
+    cfg: TrainConfig,
 ) -> list[TrainBucket]:
-    """Unjoin bucket features and attach per-sample (b1, b2).
+    """Unjoin bucket features and fix each sample's (target, scale) for ``cfg.loss``.
 
-    With ``require_groups`` (NL1 training), samples whose (kqi, type, stage)
-    has no normalization group are excluded.
+    NL1 normalizes each target with its (kqi, type, stage) group and excludes
+    the samples that have none; RE keeps every sample and reads no group.
     """
     out = []
     excluded = 0
     for bucket in buckets:
         steps, meas = unjoin(bucket.features, bucket.n_steps, s_width, m_width)
-        b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
-        keep = np.arange(len(bucket))
-        if require_groups:
+        if cfg.loss == LOSS_RE:
+            keep = slice(None)
+            target = bucket.target
+            scale = re_scale(target, cfg.re_c)
+        else:
+            b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
             keep = np.nonzero(~np.isnan(b1))[0]
             excluded += len(bucket) - len(keep)
-        if len(keep):
-            out.append(TrainBucket(bucket.n_steps, steps[keep], meas[keep],
-                                   bucket.target[keep], b1[keep], b2[keep]))
+            target = (bucket.target[keep] - b1[keep]) / (b2[keep] - b1[keep])
+            scale = np.ones(len(keep))
+        if len(target):
+            out.append(TrainBucket(bucket.n_steps, steps[keep], meas[keep], target, scale))
     if excluded:
         log.info("excluded %d samples with no normalization group", excluded)
     return out
@@ -144,6 +137,8 @@ def make_train_buckets(
 # Elements per block of the Adam update: a block's operands and the two
 # scratch rows stay in cache (64k measured fastest of 4k to 256k).
 ADAM_BLOCK = 65_536
+# Adam's decay rates and epsilon (Kingma & Ba, arXiv:1412.6980)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Fewest blocks per Adam worker thread. A smaller update runs serially: the
 # small preset's 4 blocks gain nothing from a second thread, while the large
 # preset's 226 blocks split over two cores.
@@ -156,8 +151,8 @@ FLUSH_EVERY = 32
 
 @dataclass
 class AdamState:
-    m: np.ndarray        # m / (1 - beta1), one entry per element of ModelParams.flat
-    v: np.ndarray        # v / (1 - beta2)
+    m: np.ndarray        # m / (1 - BETA1), one entry per element of ModelParams.flat
+    v: np.ndarray        # v / (1 - BETA2)
     scratch: np.ndarray  # (workers, 2, block) work space of adam_step, one slab per worker
 
 
@@ -203,10 +198,10 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     parallel, after OpenBLAS's spinning threads are parked. Every element gets
     the same arithmetic whatever the split, so the split never changes a byte.
     """
-    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+    b1, b2, lr = BETA1, BETA2, cfg.learning_rate
     v_scale = float(np.sqrt((1.0 - b2 ** t) / (1.0 - b2)))
     # Python floats, so the float32 loops stay float32 (NEP 50)
-    step, eps = lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale, cfg.eps * v_scale
+    step, eps = lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale, EPS * v_scale
     flush, tiny = t % FLUSH_EVERY == 0, np.finfo(params.dtype).tiny
     m_floor, v_floor = tiny / (lr * (1.0 - b1)), tiny / (1.0 - b2)
     n_blocks, workers = -(-params.size() // ADAM_BLOCK), len(state.scratch)
@@ -282,12 +277,10 @@ def iter_epoch_batches(buckets: list[TrainBucket], batch_size: int, seed: int, e
     for k in rng.permutation(len(slots)):
         b_idx, idx = slots[k]
         bucket = buckets[b_idx]
-        yield (bucket.steps[idx], bucket.meas[idx], bucket.target[idx],
-               bucket.b1[idx], bucket.b2[idx])
+        yield bucket.steps[idx], bucket.meas[idx], bucket.target[idx], bucket.scale[idx]
 
 
-def dataset_loss(params: ModelParams, buckets: list[TrainBucket], loss_fn,
-                 chunk: int = 1024) -> float:
+def dataset_loss(params: ModelParams, buckets: list[TrainBucket], chunk: int = 1024) -> float:
     """Sample-weighted mean loss over all buckets."""
     total, count = 0.0, 0
     for bucket in buckets:
@@ -295,8 +288,7 @@ def dataset_loss(params: ModelParams, buckets: list[TrainBucket], loss_fn,
             sl = slice(start, start + chunk)
             preds, _ = forward_batch(params, bucket.steps[sl], bucket.meas[sl],
                                      want_trace=False)
-            losses, _ = loss_fn.values_and_grads(preds, bucket.target[sl],
-                                                 bucket.b1[sl], bucket.b2[sl])
+            losses, _ = weighted_l1(preds, bucket.target[sl], bucket.scale[sl])
             total += float(losses.sum())
             count += len(losses)
     if count == 0:
@@ -314,7 +306,6 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     """
     if not train_buckets or not val_buckets:
         raise TrainingDiverged("need at least one train and one val batch")
-    loss_fn = make_loss_fn(cfg)
     params = init_params(arch, cfg.seed)
     workers = adam_workers(params.size())
     state = init_adam_state(params, workers)
@@ -328,11 +319,11 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     with ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool:
         for epoch in range(1, cfg.max_epochs + 1):
             train_sum, train_count = 0.0, 0
-            for steps, meas, target, b1, b2 in iter_epoch_batches(
+            for steps, meas, target, scale in iter_epoch_batches(
                 train_buckets, cfg.batch_size, cfg.seed, epoch
             ):
                 preds, trace = forward_batch(params, steps, meas)
-                losses, dpred = loss_fn.values_and_grads(preds, target, b1, b2)
+                losses, dpred = weighted_l1(preds, target, scale)
                 if not np.all(np.isfinite(losses)):
                     raise TrainingDiverged(
                         f"non-finite training loss at epoch {epoch} (step {t + 1})"
@@ -343,7 +334,7 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
                 adam_step(params, grads, state, t, cfg, pool)
                 train_sum += float(losses.sum())
                 train_count += len(losses)
-            val_loss = dataset_loss(params, val_buckets, loss_fn)
+            val_loss = dataset_loss(params, val_buckets)
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
             is_best, should_stop = stopper.update(val_loss)

@@ -257,7 +257,8 @@ class TestTrain:
                        "--out", tmp_path / "model.npz") == 0
         assert f"on {sizes['1'] + sizes['2']} samples" in capsys.readouterr().err
 
-    def test_one_and_two_blas_threads_give_identical_files(self, tiny_run, tmp_path):
+    @pytest.mark.parametrize("loss", ["re", "nl1"])
+    def test_one_and_two_blas_threads_give_identical_files(self, tiny_run, tmp_path, loss):
         src = str(Path(wafersense.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -267,7 +268,8 @@ class TestTrain:
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-m", "wafersense.cli", "train",
                             "--config", str(tiny_run["config"]),
-                            "--features", str(tiny_run["features"]), "--out", str(out)],
+                            "--features", str(tiny_run["features"]), "--out", str(out),
+                            "--loss", loss],
                            env=env, check=True, capture_output=True)
             outputs.append((out.read_bytes(), (out.parent / "model_history.csv").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -283,7 +285,9 @@ class TestTrain:
         ("max_epochs", "0", "max_epochs must be >= 1"),
         ("loss", "foo", "loss must be 're' or 'nl1'"),
         ("re_loss_c", "0", "re_loss_c must be > 0"),
+        ("re_loss_c", "inf", "re_loss_c must be > 0 and finite"),
         ("learning_rate", "0", "learning_rate must be > 0"),
+        ("learning_rate", "inf", "learning_rate must be > 0 and finite"),
         ("learning_rate", "fast", "could not convert"),
     ])
     def test_bad_train_value_is_an_error(self, tiny_run, tmp_path, capsys, key, value, message):
@@ -355,7 +359,7 @@ class TestEvaluate:
         sweep = list(csv.DictReader(open(out / "sweep.csv")))
         assert [float(r["f"]) for r in sweep] == [0.0, 0.25]
 
-    @pytest.mark.parametrize("grid", ["-0.3,0.6,0.9", ",", "0.1,0.5", "nan", "0.1,x"])
+    @pytest.mark.parametrize("grid", ["-0.3,0.6,0.9", ",", "", "0.1,0.5", "nan", "0.1,x"])
     def test_bad_f_grid_is_an_error(self, tiny_run, tmp_path, capsys, grid):
         out = tmp_path / "reports_bad_grid"
         assert run_cli("evaluate", "--config", tiny_run["config"],

@@ -184,8 +184,8 @@ def _epoch_batches(step_counts, batch_size, seed, epoch=1):
         ids = np.array([i for i, c in enumerate(step_counts) if c == n], dtype=np.float64)
         buckets.append(TrainBucket(n, np.zeros((len(ids), n, 1), np.float32),
                                    np.zeros((len(ids), 1), np.float32), ids,
-                                   np.zeros(len(ids)), np.ones(len(ids))))
-    return [(steps.shape[1], target.astype(int).tolist()) for steps, _, target, _, _
+                                   np.ones(len(ids))))
+    return [(steps.shape[1], target.astype(int).tolist()) for steps, _, target, _
             in iter_epoch_batches(buckets, batch_size, seed, epoch)]
 
 

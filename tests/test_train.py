@@ -14,13 +14,14 @@ from wafersense.normgroups import NormalizationGroup, normalize_target
 from wafersense.preprocess import Bucket
 from wafersense.train import (
     ADAM_BLOCK,
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     EarlyStopper,
     EpochStats,
     FLUSH_EVERY,
-    Nl1LossFn,
     RELossConfig,
-    ReLossFn,
     TrainConfig,
     TrainBucket,
     TrainingDiverged,
@@ -31,6 +32,8 @@ from wafersense.train import (
     iter_epoch_batches,
     make_train_buckets,
     re_loss,
+    re_scale,
+    weighted_l1,
     write_history_csv,
 )
 
@@ -69,9 +72,36 @@ class TestReLoss:
         assert mid <= (re_loss(a, y) + re_loss(b, y)) / 2 + 1e-12
 
 
+def raw_bucket(kqis, target=None):
+    """A two-step bucket with S = 3, M = 2, type "T" and stage "S"; targets 0, 1, ... by default."""
+    n = len(kqis)
+    return Bucket(
+        n_steps=2,
+        features=np.arange(n * (2 * 3 + 2), dtype=np.float32).reshape(n, -1),
+        target=np.arange(n, dtype=np.float64) if target is None else np.asarray(target, float),
+        kqi=np.array(kqis),
+        mtype=np.array(["T"] * n),
+        stage=np.array(["S"] * n),
+        passfail=np.array(["PASS"] * n),
+        inspection=np.array(["NONE"] * n),
+        lcl=np.zeros(n),
+        ucl=np.ones(n),
+        limit_source=np.array(["TARG"] * n),
+        processing_id=np.array(["P"] * n),
+        product_id=np.array([f"W{i}" for i in range(n)]),
+    )
+
+
+def bucket_losses(preds, targets, cfg: TrainConfig, g: NormalizationGroup = GROUP):
+    """Losses and gradients of ``preds`` against the (target, scale) pairs that
+    make_train_buckets fixes for ``targets`` under ``cfg``, every sample in group g."""
+    tb, = make_train_buckets([raw_bucket([g.key[0]] * len(targets), targets)], 3, 2,
+                             {g.key: g}, cfg)
+    return weighted_l1(np.asarray(preds, np.float64), tb.target, tb.scale)
+
+
 def nl1_loss(y_tilde_hat: float, y: float, g: NormalizationGroup) -> float:
-    losses, _ = Nl1LossFn().values_and_grads(np.array([y_tilde_hat]), np.array([y]), g.b1, g.b2)
-    return losses.item()
+    return bucket_losses([y_tilde_hat], [y], TrainConfig(loss="nl1"), g)[0].item()
 
 
 class TestNl1Loss:
@@ -99,26 +129,31 @@ class TestVectorizedLosses:
     def test_re_matches_scalar(self):
         rng = np.random.default_rng(0)
         preds, targets = rng.normal(0, 50, 100), rng.normal(0, 50, 100)
-        losses, grads = ReLossFn(10.0).values_and_grads(preds, targets, None, None)
+        cfg = TrainConfig(re_c=10.0)
+        losses, grads = bucket_losses(preds, targets, cfg)
         for i in range(100):
-            assert losses[i] == pytest.approx(re_loss(preds[i], targets[i]))
+            assert losses[i] == re_loss(preds[i], targets[i])
         h = 1e-6
-        up, _ = ReLossFn(10.0).values_and_grads(preds + h, targets, None, None)
+        up, _ = bucket_losses(preds + h, targets, cfg)
         assert np.allclose((up - losses) / h, grads, atol=1e-4)
 
     def test_nl1_matches_scalar(self):
         rng = np.random.default_rng(1)
         preds, targets = rng.normal(0, 1, 50), rng.normal(5, 3, 50)
-        b1, b2 = np.zeros(50), np.full(50, 10.0)
-        losses, _ = Nl1LossFn().values_and_grads(preds, targets, b1, b2)
+        cfg = TrainConfig(loss="nl1")
+        losses, grads = bucket_losses(preds, targets, cfg)
         for i in range(50):
             assert losses[i] == pytest.approx(abs(preds[i] - normalize_target(targets[i], GROUP)))
+        h = 1e-6
+        up, _ = bucket_losses(preds + h, targets, cfg)
+        assert np.allclose((up - losses) / h, grads, atol=1e-4)
 
 
 TINY_ARCH = ArchConfig(sensor_dim=4, meas_dim=2, d=4, mlp_hidden=6)
 
 
-def toy_bucket(n_samples=8, n_steps=2, seed=0, target_fn=None, with_groups=True):
+def toy_bucket(n_samples=8, n_steps=2, seed=0, target_fn=None):
+    """A bucket trained with the RE loss, c = 10."""
     rng = np.random.default_rng(seed)
     steps = rng.uniform(0, 1, size=(n_samples, n_steps, 4)).astype(np.float32)
     meas = rng.uniform(0, 1, size=(n_samples, 2)).astype(np.float32)
@@ -126,9 +161,9 @@ def toy_bucket(n_samples=8, n_steps=2, seed=0, target_fn=None, with_groups=True)
         target = 20.0 + 5.0 * steps.mean(axis=(1, 2))
     else:
         target = target_fn(steps, meas)
-    b = np.zeros(n_samples) if with_groups else np.full(n_samples, np.nan)
-    return TrainBucket(n_steps=n_steps, steps=steps, meas=meas,
-                       target=target.astype(np.float64), b1=b, b2=b + 30.0)
+    target = target.astype(np.float64)
+    return TrainBucket(n_steps=n_steps, steps=steps, meas=meas, target=target,
+                       scale=re_scale(target, 10.0))
 
 
 class TestAdam:
@@ -164,7 +199,7 @@ class TestAdam:
         n_blocks = -(-params.size() // ADAM_BLOCK)
         assert n_blocks >= 3 and params.size() % ADAM_BLOCK
         cfg = TrainConfig(learning_rate=1e-3)
-        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+        b1, b2, lr = BETA1, BETA2, cfg.learning_rate
         tiny = np.finfo(dtype).tiny
         m_floor, v_floor = tiny / (lr * (1.0 - b1)), tiny / (1.0 - b2)
         ref, ref_m, ref_v = params.copy(), zeros_like_params(params), zeros_like_params(params)
@@ -185,7 +220,7 @@ class TestAdam:
                 adam_step(params, grads, state, t=t, cfg=cfg, pool=pool)
                 v_scale = np.sqrt((1.0 - b2 ** t) / (1.0 - b2))
                 step = float(lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale)
-                eps = float(cfg.eps * v_scale)
+                eps = float(EPS * v_scale)
                 for name, arr in ref.arrays():
                     g, m, v = getattr(grads, name), getattr(ref_m, name), getattr(ref_v, name)
                     m *= b1
@@ -210,7 +245,7 @@ class TestAdam:
         # Kingma & Ba as printed, in float64
         params = init_params(TINY_ARCH, seed=0, dtype=np.float64)
         cfg = TrainConfig(learning_rate=1e-2)
-        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+        b1, b2, lr = BETA1, BETA2, cfg.learning_rate
         state = init_adam_state(params)
         theta, m, v = params.flat.copy(), np.zeros(params.size()), np.zeros(params.size())
         rng = np.random.default_rng(3)
@@ -221,7 +256,7 @@ class TestAdam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
-            theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + EPS)
             # a weight crossing zero has no relative precision; lr bounds one step
             np.testing.assert_allclose(params.flat, theta, rtol=1e-12, atol=1e-12 * lr)
             np.testing.assert_allclose(state.m * (1.0 - b1), m, rtol=1e-12, atol=0.0)
@@ -233,15 +268,15 @@ class TestAdam:
         cfg = TrainConfig()
         tiny = np.finfo(np.float32).tiny
         # the state holds m / (1 - b1) and v / (1 - b2), so the floors scale too
-        m_floor = tiny / (cfg.learning_rate * (1.0 - cfg.beta1))
-        v_floor = tiny / (1.0 - cfg.beta2)
+        m_floor = tiny / (cfg.learning_rate * (1.0 - BETA1))
+        v_floor = tiny / (1.0 - BETA2)
         # true moments: after one decay the first four are subnormal, the rest
         # normal; as first moments the next two lie in [tiny, tiny / lr), where
         # lr * m is subnormal, so they are flushed too
         values = np.array([tiny / 4, -tiny / 4, tiny, -tiny, 2 * tiny, 1e-35, 1e-30, 0.9],
                           np.float32)
-        m_values = values / np.float32(1.0 - cfg.beta1)
-        v_values = np.abs(values) / np.float32(1.0 - cfg.beta2)
+        m_values = values / np.float32(1.0 - BETA1)
+        v_values = np.abs(values) / np.float32(1.0 - BETA2)
         assert tiny < values[5] * np.float32(0.9) < tiny / cfg.learning_rate
         for t in (FLUSH_EVERY - 1, FLUSH_EVERY):
             state = init_adam_state(params)
@@ -400,7 +435,7 @@ class TestFit:
         params, history = fit(TINY_ARCH, [train_bucket], [val_bucket], cfg)
         best = min(h.val_loss for h in history)
         assert [h.val_loss for h in history if h.is_best][-1] == best
-        got = dataset_loss(params, [val_bucket], ReLossFn(10.0))
+        got = dataset_loss(params, [val_bucket])
         assert got == pytest.approx(best, rel=1e-6)
 
     def test_returned_params_share_no_memory_with_trained_ones(self, monkeypatch):
@@ -436,7 +471,7 @@ class TestFit:
     def test_epoch_batches_respect_buckets_and_shuffle(self):
         buckets = [toy_bucket(n_samples=5, n_steps=2), toy_bucket(n_samples=3, n_steps=3)]
         batches = list(iter_epoch_batches(buckets, batch_size=2, seed=0, epoch=1))
-        for steps, meas, target, b1, b2 in batches:
+        for steps, meas, target, scale in batches:
             assert steps.shape[1] in (2, 3)
             assert len(steps) <= 2
         total = sum(len(b[0]) for b in batches)
@@ -448,41 +483,30 @@ class TestFit:
 
 
 class TestMakeTrainBuckets:
-    def make_raw_bucket(self, kqis):
-        n = len(kqis)
-        return Bucket(
-            n_steps=2,
-            features=np.arange(n * (2 * 3 + 2), dtype=np.float32).reshape(n, -1),
-            target=np.arange(n, dtype=np.float64),
-            kqi=np.array(kqis),
-            mtype=np.array(["T"] * n),
-            stage=np.array(["S"] * n),
-            passfail=np.array(["PASS"] * n),
-            inspection=np.array(["NONE"] * n),
-            lcl=np.zeros(n),
-            ucl=np.ones(n),
-            limit_source=np.array(["TARG"] * n),
-            processing_id=np.array(["P"] * n),
-            product_id=np.array([f"W{i}" for i in range(n)]),
-        )
-
     def test_nl1_excludes_groupless_samples(self):
-        bucket = self.make_raw_bucket(["K", "K", "UNGROUPED"])
+        bucket = raw_bucket(["K", "K", "UNGROUPED"], target=[5.0, 2.5, 1.0])
         groups = {("K", "T", "S"): GROUP}
-        out = make_train_buckets([bucket], 3, 2, groups, require_groups=True)
+        out = make_train_buckets([bucket], 3, 2, groups, TrainConfig(loss="nl1"))
         assert len(out) == 1 and len(out[0]) == 2
-        assert np.all(out[0].b2 == 10.0)
+        assert np.array_equal(out[0].target, [0.5, 0.25])  # (y - b1) / (b2 - b1)
+        assert np.array_equal(out[0].scale, [1.0, 1.0])
+        assert np.array_equal(out[0].steps[1].reshape(-1), np.arange(8, 14, dtype=np.float32))
 
-    def test_re_keeps_groupless_samples(self):
-        bucket = self.make_raw_bucket(["K", "UNGROUPED"])
+    def test_re_keeps_groupless_samples(self, monkeypatch):
+        def no_lookup(*args):
+            raise AssertionError("the RE loss reads no normalization group")
+
+        monkeypatch.setattr(train, "group_bounds", no_lookup)
+        bucket = raw_bucket(["K", "UNGROUPED", "K"], target=[5.0, -25.0, 12.5])
         out = make_train_buckets([bucket], 3, 2, {("K", "T", "S"): GROUP},
-                                 require_groups=False)
-        assert len(out[0]) == 2
-        assert np.isnan(out[0].b1[1])
+                                 TrainConfig(re_c=10.0))
+        assert len(out[0]) == 3
+        assert np.array_equal(out[0].target, [5.0, -25.0, 12.5])
+        assert np.array_equal(out[0].scale, [10.0, 25.0, 12.5])  # max(|y|, c)
 
     def test_features_unjoined_to_steps_and_meas(self):
-        bucket = self.make_raw_bucket(["K"])
-        out = make_train_buckets([bucket], 3, 2, {}, require_groups=False)
+        bucket = raw_bucket(["K"])
+        out = make_train_buckets([bucket], 3, 2, {}, TrainConfig())
         assert out[0].steps.shape == (1, 2, 3)
         assert out[0].meas.shape == (1, 2)
         assert np.array_equal(out[0].steps.reshape(-1), np.arange(6, dtype=np.float32))
