@@ -33,6 +33,12 @@ class NormalizationGroup:
             raise ValueError(f"b1 must be < b2, got ({self.b1}, {self.b2})")
 
 
+def lookup_pairs(table: dict[GroupKey, tuple[float, float]], keys) -> np.ndarray:
+    """An (n, 2) float64 array of ``table[key]`` for n keys, NaN where a key is absent."""
+    return np.array(list(map(table.get, keys, repeat((np.nan, np.nan)))),
+                    dtype=np.float64).reshape(-1, 2)
+
+
 def resolve_control_limits(
     measurements: MeasurementTable,
     fallback: dict[GroupKey, tuple[float, float]],
@@ -43,8 +49,7 @@ def resolve_control_limits(
     table row for the measurement's (kqi, type, stage) is used; otherwise
     there are no limits.
     """
-    pairs = np.array(list(map(fallback.get, measurements.group_keys(), repeat((np.nan, np.nan)))),
-                     dtype=np.float64).reshape(-1, 2)
+    pairs = lookup_pairs(fallback, measurements.group_keys())
     targ = ~np.isnan(measurements.targ_min) & ~np.isnan(measurements.targ_max)
     source = np.where(targ, LimitSource.TARG.value,
                       np.where(np.isnan(pairs[:, 0]), "", LimitSource.LCL_UCL.value))
@@ -85,12 +90,8 @@ def denormalize(y_tilde: float, g: NormalizationGroup) -> float:
 def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage):
     """Per-sample (b1, b2) arrays for the keys (kqi[i], mtype[i], stage[i]);
     NaN where a key has no group."""
-    b1, b2 = np.full(len(kqi), np.nan), np.full(len(kqi), np.nan)
-    for i, key in enumerate(zip(kqi, mtype, stage)):
-        g = groups.get(key)
-        if g is not None:
-            b1[i], b2[i] = g.b1, g.b2
-    return b1, b2
+    return tuple(lookup_pairs({key: (g.b1, g.b2) for key, g in groups.items()},
+                              zip(kqi, mtype, stage)).T)
 
 
 def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:

@@ -5,8 +5,8 @@ imputation, training-target outlier filtering, one-hot encoding,
 sensor/measurement join, time-step-homogeneous bucketing (the datetime
 features come with the sensor table). Every transform is fitted on the
 training split only and then frozen; val/test go through the same fitted
-transforms. Each stage works on whole columns: a split's steps are encoded
-once, and every bucket is gathered from them by fancy indexing.
+transforms. Each stage works on whole columns: a stream's wafers have their
+steps encoded once, and each bucket is one ``join`` of blocks gathered from them.
 
 Joined samples of different step counts have different widths, so buckets
 are persisted as one .npz file per (stream, split, n_steps), next to a
@@ -90,10 +90,7 @@ class FittedImputer:
         return cls(np.nanmedian(train, axis=0))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        out = np.array(x, dtype=float)
-        nan_rows, nan_cols = np.nonzero(np.isnan(out))
-        out[nan_rows, nan_cols] = self.medians[nan_cols]
-        return out
+        return np.where(np.isnan(x), self.medians, x)
 
 
 @dataclass(frozen=True)
@@ -150,26 +147,28 @@ class JoinedSample:
     group_key: GroupKey
 
 
+def join(steps: np.ndarray, meas: np.ndarray) -> np.ndarray:
+    """(N, n_steps, S) step blocks, then (N, M) measurement rows, as (N, n_steps*S + M) rows."""
+    return np.concatenate([steps.reshape(len(steps), np.prod(steps.shape[1:])), meas], axis=1)
+
+
 def join_wafer(step_rows: np.ndarray, meas_row: np.ndarray, target: float,
                wafer_id: tuple[str, str], group_key: GroupKey) -> JoinedSample:
-    """One sample as build_buckets joins it: the step rows in order, then the measurement row."""
-    return JoinedSample(wafer_id, len(step_rows),
-                        np.concatenate([np.ravel(step_rows), meas_row]), target, group_key)
+    """One sample through join, as build_buckets joins every sample."""
+    return JoinedSample(wafer_id, len(step_rows), join(step_rows[None], meas_row[None])[0],
+                        target, group_key)
 
 
 def unjoin(features: np.ndarray, n_steps: int, s_width: int, m_width: int):
-    """Inverse of join_wafer: recover the (n_steps, S) block and the M vector.
-
-    Accepts a single feature row or a batch matrix.
-    """
+    """Inverse of join: the (..., n_steps, S) step blocks and the (..., M)
+    measurement rows of a batch matrix or of a single feature row."""
     if features.shape[-1] != n_steps * s_width + m_width:
         raise PreprocessError(
             f"feature width {features.shape[-1]} != {n_steps}*{s_width}+{m_width}"
         )
     split = n_steps * s_width
-    if features.ndim == 2:
-        return features[:, :split].reshape(-1, n_steps, s_width), features[:, split:]
-    return features[:split].reshape(n_steps, s_width), features[split:]
+    return (features[..., :split].reshape(*features.shape[:-1], n_steps, s_width),
+            features[..., split:])
 
 
 @dataclass(frozen=True)
@@ -263,8 +262,9 @@ def fit_pipeline(wafers: WaferTable, train: np.ndarray) -> FeaturePipeline:
         raise PreprocessError("every numeric column is degenerate")
 
     kept_cat = drop_degenerate_columns(categorical.T)
-    scaler = FittedScaler.fit(numeric[:, kept_numeric])
-    imputer = FittedImputer.fit(scaler.transform(numeric[:, kept_numeric]))
+    numeric = numeric[:, kept_numeric]
+    scaler = FittedScaler.fit(numeric)
+    imputer = FittedImputer.fit(scaler.transform(numeric))
     sensor_vocab = OneHotVocabulary.fit(categorical.T[kept_cat])
     train_meas = wafers.measurements.take(wafers.measurement_rows(train))
 
@@ -316,6 +316,7 @@ def build_buckets(
 ) -> dict[int, Bucket]:
     """Join wafer steps with one measurement stream and bucket by n_steps.
 
+    Only the steps of the wafers owning the stream's measurements are encoded.
     Samples follow the wafer order of ``split`` and, within a wafer, the
     metrology file's order.
     """
@@ -323,19 +324,17 @@ def build_buckets(
     rows = rows[wafers.measurements.is_monitor[rows] == monitor_stream]
     meas = wafers.measurements.take(rows)
     limits = resolve_control_limits(meas, limits_table)
-    owner = wafers.measurement_wafers()[rows]
-    n_steps = wafers.n_steps
-    first_step = np.zeros(len(wafers), dtype=np.intp)
-    first_step[split] = np.cumsum(n_steps[split]) - n_steps[split]
-    steps = pipeline.encode_step_rows(wafers.sensor, wafers.step_rows(split)).astype(np.float32)
+    owners, owner = np.unique(wafers.measurement_wafers()[rows], return_inverse=True)
+    n_steps = wafers.n_steps[owners]
+    first_step = np.cumsum(n_steps) - n_steps
+    steps = pipeline.encode_step_rows(wafers.sensor, wafers.step_rows(owners)).astype(np.float32)
     meas_x = pipeline.encode_measurements(meas).astype(np.float32)
     out = {}
     for n in np.unique(n_steps[owner]):
         pick = np.flatnonzero(n_steps[owner] == n)
-        step_x = steps[first_step[owner[pick], None] + np.arange(n)].reshape(len(pick), -1)
         out[int(n)] = Bucket(
             n_steps=int(n),
-            features=np.concatenate([step_x, meas_x[pick]], axis=1),
+            features=join(steps[first_step[owner[pick], None] + np.arange(n)], meas_x[pick]),
             target=meas.meas_med[pick],
             lcl=limits.lcl[pick],
             ucl=limits.ucl[pick],

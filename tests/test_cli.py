@@ -16,6 +16,10 @@ from wafersense.cli import ConfigError, RunConfig, _parse_filter
 
 from conftest import TINY_CONFIG, run_cli, write_config
 
+STRESS_CONFIG = (
+    "[synth]\nn_wafers = 600\nseed = 5\nmissing_cell_rate = 0.3\nduplicate_row_rate = 0.2\n"
+    "targ_rate = 0.2\nsensor_cat_vocab = 1\n[schema]\ntrain_on_monitor = true\n")
+
 
 class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
@@ -182,11 +186,7 @@ class TestPreprocess:
         manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
         assert manifest["duplicate_rows_dropped"] == {"sensor": 3, "metrology": 2}
 
-    @pytest.mark.parametrize("text", [
-        TINY_CONFIG,
-        "[synth]\nn_wafers = 600\nseed = 5\nmissing_cell_rate = 0.3\nduplicate_row_rate = 0.2\n"
-        "targ_rate = 0.2\nsensor_cat_vocab = 1\n[schema]\ntrain_on_monitor = true\n",
-    ], ids=["tiny", "stress"])
+    @pytest.mark.parametrize("text", [TINY_CONFIG, STRESS_CONFIG], ids=["tiny", "stress"])
     def test_generated_duplicates_are_the_rows_dedupe_drops(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, text)
         assert run_cli("generate", "--config", cfg, "--out", tmp_path / "d") == 0
@@ -199,6 +199,38 @@ class TestPreprocess:
                        "--out", tmp_path / "f") == 0
         manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
         assert manifest["duplicate_rows_dropped"] == written
+
+    def test_each_stream_encodes_the_steps_of_its_own_wafers_once(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, STRESS_CONFIG)
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "d") == 0
+        build_buckets = preprocess.build_buckets
+        encode_step_rows = preprocess.FeaturePipeline.encode_step_rows
+        calls = []  # per build_buckets call: (expected step rows, encoded row arrays)
+
+        def recording_build(wafers, split, pipeline, limits, monitor_stream):
+            in_split = set(split.tolist())
+            owners = {int(w) for w, monitor in zip(wafers.measurement_wafers(),
+                                                   wafers.measurements.is_monitor)
+                      if w in in_split and monitor == monitor_stream}
+            starts = wafers.sensor.starts
+            calls.append(([r for w in sorted(owners) for r in range(starts[w], starts[w + 1])],
+                          []))
+            return build_buckets(wafers, split, pipeline, limits, monitor_stream)
+
+        def recording_encode(self, sensor, rows):
+            assert calls, "steps encoded outside build_buckets"
+            calls[-1][1].append(rows)
+            return encode_step_rows(self, sensor, rows)
+
+        monkeypatch.setattr(preprocess, "build_buckets", recording_build)
+        monkeypatch.setattr(preprocess.FeaturePipeline, "encode_step_rows", recording_encode)
+        assert run_cli("preprocess", "--config", cfg, "--data", tmp_path / "d",
+                       "--out", tmp_path / "f") == 0
+        assert len(calls) == 6  # (train, val, test) x (reg, pf)
+        for expected, encoded in calls:
+            encoded = np.concatenate(encoded).tolist() if encoded else []
+            assert len(encoded) == len(set(encoded))
+            assert sorted(encoded) == expected
 
     @pytest.mark.parametrize("name", ["sensor.csv", "metrology.csv", "limits.csv"])
     def test_byte_order_mark_before_the_header_is_accepted(self, tiny_run, tmp_path, name):

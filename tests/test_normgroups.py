@@ -7,6 +7,7 @@ from wafersense.normgroups import (
     NormalizationGroup,
     build_groups,
     denormalize,
+    group_bounds,
     normalize_target,
     read_groups_csv,
     resolve_control_limits,
@@ -108,6 +109,25 @@ class TestTransformPair:
     )
     def test_strictly_increasing(self, y, delta):
         assert normalize_target(y + delta, self.g) > normalize_target(y, self.g)
+
+
+KEYS = st.tuples(*[st.sampled_from(["A", "B"])] * 3)
+
+
+@given(st.dictionaries(KEYS, st.tuples(st.floats(min_value=-1e3, max_value=1e3),
+                                       st.floats(min_value=1e-3, max_value=1e3))),
+       st.lists(KEYS, max_size=12))
+def test_group_bounds_matches_a_dict_loop(pairs, keys):
+    groups = {key: NormalizationGroup(key, b1, b1 + width) for key, (b1, width) in pairs.items()}
+    kqi, mtype, stage = (np.array([key[j] for key in keys], dtype=str) for j in range(3))
+    b1, b2 = group_bounds(groups, kqi, mtype, stage)
+    expected_b1, expected_b2 = [], []
+    for key in keys:
+        g = groups.get(key)
+        expected_b1.append(g.b1 if g else np.nan)
+        expected_b2.append(g.b2 if g else np.nan)
+    assert np.array_equal(b1, expected_b1, equal_nan=True) and b1.shape == (len(keys),)
+    assert np.array_equal(b2, expected_b2, equal_nan=True) and b2.shape == (len(keys),)
 
 
 def test_groups_csv_round_trip(tmp_path):

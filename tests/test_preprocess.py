@@ -8,7 +8,7 @@ from wafersense import preprocess as pp
 from wafersense.ingest import datetime_features
 from wafersense.train import TrainBucket, iter_epoch_batches
 
-from conftest import wafer_table, wall_us
+from conftest import examples, wafer_table, wall_us
 
 
 def features_of(timestamp: datetime) -> tuple[float, float]:
@@ -139,31 +139,41 @@ class TestJoin:
                                ("P", "W"), ("K", "T", "S"))
         assert sample.features.shape == (1887,)
 
-    @settings(max_examples=30)
-    @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), st.integers(0, 10_000))
-    def test_width_law_and_concat_oracle(self, n_steps, s, m, seed):
+    @settings(max_examples=examples(30))
+    @given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+    def test_width_law_and_concat_oracle(self, batch, n_steps, s, m, dtype, seed):
         rng = np.random.default_rng(seed)
-        steps = rng.normal(size=(n_steps, s))
-        meas_row = rng.normal(size=m)
-        sample = pp.join_wafer(steps, meas_row, 0.0, ("P", "W"), ("K", "T", "S"))
-        assert sample.features.shape == (n_steps * s + m,)
-        # independent oracle: plain python list concatenation
-        oracle = []
-        for row in steps.tolist():
-            oracle.extend(row)
-        oracle.extend(meas_row.tolist())
-        assert sample.features.tolist() == oracle
+        steps = rng.normal(size=(batch, n_steps, s)).astype(dtype)
+        meas_rows = rng.normal(size=(batch, m)).astype(dtype)
+        features = pp.join(steps, meas_rows)
+        assert features.shape == (batch, n_steps * s + m) and features.dtype == dtype
+        for i in range(batch):
+            # independent oracle: plain python list concatenation
+            oracle = []
+            for row in steps[i].tolist():
+                oracle.extend(row)
+            oracle.extend(meas_rows[i].tolist())
+            assert features[i].tolist() == oracle
+            sample = pp.join_wafer(steps[i], meas_rows[i], 0.0, ("P", "W"), ("K", "T", "S"))
+            assert sample.n_steps == n_steps
+            assert np.array_equal(sample.features, features[i])
 
-    @settings(max_examples=30)
-    @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), st.integers(0, 10_000))
-    def test_unjoin_inverts_join(self, n_steps, s, m, seed):
+    @settings(max_examples=examples(30))
+    @given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 8), st.integers(1, 8),
+           st.integers(0, 10_000))
+    def test_unjoin_inverts_join(self, batch, n_steps, s, m, seed):
         rng = np.random.default_rng(seed)
-        steps = rng.normal(size=(n_steps, s))
-        meas_row = rng.normal(size=m)
-        sample = pp.join_wafer(steps, meas_row, 0.0, ("P", "W"), ("K", "T", "S"))
-        back_steps, back_meas = pp.unjoin(sample.features, n_steps, s, m)
+        steps = rng.normal(size=(batch, n_steps, s))
+        meas_rows = rng.normal(size=(batch, m))
+        features = pp.join(steps, meas_rows)
+        back_steps, back_meas = pp.unjoin(features, n_steps, s, m)
         assert np.array_equal(back_steps, steps)
-        assert np.array_equal(back_meas, meas_row)
+        assert np.array_equal(back_meas, meas_rows)
+        for i in range(batch):
+            back_steps, back_meas = pp.unjoin(features[i], n_steps, s, m)
+            assert np.array_equal(back_steps, steps[i])
+            assert np.array_equal(back_meas, meas_rows[i])
 
     def test_unjoin_batch(self):
         batch = np.arange(2 * 8, dtype=float).reshape(2, 8)
