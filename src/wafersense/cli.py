@@ -2,8 +2,10 @@
 
 Configuration is a flat INI-style key-value file with sections; every key
 has a documented default (see README) except synth.n_wafers, which
-``generate`` requires. Unknown sections or keys are rejected. Data goes to
-files; diagnostics go to standard error.
+``generate`` requires. The [synth] and [train] keys are the fields of
+SynthConfig and TrainConfig, each read by its field's type, and their
+defaults are the dataclasses' own. Unknown sections or keys are rejected.
+Data goes to files; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import argparse
 import configparser
 import logging
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +23,11 @@ import numpy as np
 from . import evaluate as ev
 from . import ingest, normgroups, preprocess, synthgen
 from .atomic import atomic_open
-from .nn import ArchConfig, load_checkpoint, save_checkpoint
-from .train import (
-    TrainConfig,
-    TrainingDiverged,
-    fit,
-    make_train_buckets,
-    write_history_csv,
-)
+from .nn import PRESETS, ArchConfig, CheckpointError, load_checkpoint, save_checkpoint
+from .train import (LOSS_NL1, LOSSES, TrainConfig, TrainingDiverged, fit, make_train_buckets,
+                    write_history_csv)
 
-log = logging.getLogger(__name__)
+BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 class ConfigError(ValueError):
@@ -37,19 +35,11 @@ class ConfigError(ValueError):
 
 
 KNOWN_KEYS = {
-    "synth": {
-        "n_wafers", "seed", "step_weights", "n_numeric_sensors",
-        "n_sensor_categoricals", "sensor_cat_vocab", "n_kqi", "n_type",
-        "n_stage", "n_equip", "n_prod", "wafers_per_batch",
-        "measurements_per_wafer", "noise_sd", "fail_rate",
-        "missing_cell_rate", "duplicate_row_rate", "targ_rate",
-        "group_offset_lo", "group_offset_hi",
-    },
+    "synth": {f.name for f in fields(synthgen.SynthConfig)},
     "schema": {"sensor_categorical_columns", "monitor_marker", "train_on_monitor"},
     "preprocess": {"seed"},
     "arch": {"preset"},
-    "train": {"loss", "learning_rate", "batch_size", "patience", "max_epochs",
-              "seed", "re_loss_c"},
+    "train": {f.name for f in fields(TrainConfig)},
     "eval": {"f_grid"},
     "paths": {"data_dir", "features_dir", "checkpoint", "report_dir"},
 }
@@ -64,96 +54,75 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
-        raw: dict[str, dict[str, str]] = {}
-        for section in parser.sections():
+        raw = {section: dict(parser.items(section)) for section in parser.sections()}
+        for section, given in raw.items():
             if section not in KNOWN_KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
-            raw[section] = {}
-            for key, value in parser.items(section):
+            for key in given:
                 if key not in KNOWN_KEYS[section]:
                     raise ConfigError(f"unknown config key [{section}] {key}")
-                raw[section][key] = value
         return cls(raw)
 
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.raw.get(section, {}).get(key, default)
 
-    def get_number(self, section: str, key: str, default: int | float) -> int | float:
-        """The value parsed as the type of ``default`` (int or float)."""
+    def value(self, section: str, key: str, parse, default=None):
+        """[section] key read by ``parse``, or ``default`` when the key is absent."""
         v = self.get(section, key)
         try:
-            return default if v is None else type(default)(v)
+            return default if v is None else parse(v)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc} (key {key})") from None
 
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        if v.lower() in ("1", "true", "yes", "on"):
-            return True
-        if v.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {v!r}")
+    def build(self, section: str, cls, **overrides):
+        """``cls`` from the [section] keys given, each read by its field's type, and
+        the ``overrides`` that are not None; the other fields keep their defaults."""
+        given = self.raw.get(section, {})
+        for f in fields(cls):
+            if f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required config key: [{section}] {f.name}")
+        types = typing.get_type_hints(cls)
+        kwargs = {key: self.value(section, key, _parse_step_weights if key == "step_weights"
+                                  else types[key]) for key in given}
+        kwargs.update((key, v) for key, v in overrides.items() if v is not None)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
 
     def synth_config(self, seed_override: int | None = None) -> synthgen.SynthConfig:
-        """SynthConfig from the [synth] keys given; the others keep SynthConfig's defaults."""
-        given = self.raw.get("synth", {})
-        if "n_wafers" not in given:
-            raise ConfigError("missing required config key: [synth] n_wafers")
-        kwargs = {key: self.get_number("synth", key, getattr(synthgen.SynthConfig, key, 0))
-                  for key in given if key not in ("step_weights", "group_offset_lo",
-                                                  "group_offset_hi")}
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        kwargs["group_offset_range"] = (self.get_number("synth", "group_offset_lo", 1.0),
-                                        self.get_number("synth", "group_offset_hi", 3.0))
-        try:
-            if "step_weights" in given:
-                kwargs["step_weights"] = _parse_step_weights(given["step_weights"])
-            return synthgen.SynthConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[synth] {exc}") from None
+        return self.build("synth", synthgen.SynthConfig, seed=seed_override)
+
+    def train_config(self, loss_override: str | None = None,
+                     seed_override: int | None = None) -> TrainConfig:
+        return self.build("train", TrainConfig, loss=loss_override, seed=seed_override)
 
     def sensor_categorical_columns(self) -> list[str]:
         explicit = self.get("schema", "sensor_categorical_columns")
         if explicit is not None:
             return [c.strip() for c in explicit.split(",") if c.strip()]
-        n = self.get_number("synth", "n_sensor_categoricals", 2)
-        return [f"cat_{i:02d}" for i in range(n)]
+        return synthgen.categorical_column_names(self.value(
+            "synth", "n_sensor_categoricals", int, synthgen.SynthConfig.n_sensor_categoricals))
 
     def monitor_marker(self) -> str:
-        marker = self.get("schema", "monitor_marker", "MON")
+        marker = self.get("schema", "monitor_marker", ingest.MONITOR_MARKER)
         if not marker:
             # "" is a substring of every KQI label: every measurement would be a monitor
             raise ConfigError("[schema] monitor_marker must not be empty")
         return marker
 
     def train_on_monitor(self) -> bool:
-        return self.get_bool("schema", "train_on_monitor", False)
-
-    def train_config(self, loss_override: str | None = None,
-                     seed_override: int | None = None) -> TrainConfig:
-        """TrainConfig from the [train] keys given; the others keep TrainConfig's defaults."""
-        kwargs = {"loss": loss_override or self.get("train", "loss", TrainConfig.loss)}
-        for key in self.raw.get("train", {}):
-            if key != "loss":
-                field = "re_c" if key == "re_loss_c" else key
-                kwargs[field] = self.get_number("train", key, getattr(TrainConfig, field))
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        try:
-            return TrainConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[train] {exc}") from None
+        v = self.get("schema", "train_on_monitor", "false")
+        if v.lower() not in BOOLEANS:
+            raise ConfigError(f"[schema] train_on_monitor: expected a boolean, got {v!r}")
+        return BOOLEANS[v.lower()]
 
     def arch_preset(self, override: str | None = None) -> str:
-        preset = override or self.get("arch", "preset", "small")
-        if preset not in ("small", "large"):
-            raise ConfigError(f"[arch] preset must be small or large, got {preset!r}")
+        preset = override or self.get("arch", "preset", next(iter(PRESETS)))
+        if preset not in PRESETS:
+            raise ConfigError(f"[arch] preset must be {' or '.join(PRESETS)}, got {preset!r}")
         return preset
 
     def f_grid(self, override: str | None = None) -> tuple[float, ...]:
@@ -186,7 +155,7 @@ def _parse_step_weights(raw: str) -> dict[int, float]:
         try:
             weights[int(n)] = float(w)
         except ValueError:
-            raise ValueError(f"step_weights: expected n:weight pairs, got {part!r}") from None
+            raise ValueError(f"expected n:weight pairs, got {part!r}") from None
     return weights
 
 
@@ -203,7 +172,10 @@ def _parse_filter(raw: str | None) -> dict[str, str]:
     return out
 
 
-def _apply_filter(buckets: list[preprocess.Bucket], flt: dict[str, str]) -> list[preprocess.Bucket]:
+def _load_split(features_dir: Path, stream: str, split: str,
+                flt: dict[str, str]) -> list[preprocess.Bucket]:
+    """The listed (stream, split) buckets, cut to the rows that match ``flt``."""
+    buckets = preprocess.load_split(features_dir, stream, split)
     if not flt:
         return buckets
     out = []
@@ -212,13 +184,9 @@ def _apply_filter(buckets: list[preprocess.Bucket], flt: dict[str, str]) -> list
         for attr, value in flt.items():
             mask &= getattr(bucket, attr) == value
         if mask.any():
-            out.append(_bucket_subset(bucket, mask))
+            out.append(preprocess.Bucket(n_steps=bucket.n_steps, **{
+                k: getattr(bucket, k)[mask] for k in preprocess.BUCKET_ARRAY_KEYS}))
     return out
-
-
-def _bucket_subset(bucket: preprocess.Bucket, mask: np.ndarray) -> preprocess.Bucket:
-    kwargs = {k: getattr(bucket, k)[mask] for k in preprocess.BUCKET_ARRAY_KEYS}
-    return preprocess.Bucket(n_steps=bucket.n_steps, **kwargs)
 
 
 def _status(msg: str) -> None:
@@ -246,9 +214,9 @@ def _load_dataset(cfg: RunConfig, data_dir: Path):
     for name in ("sensor.csv", "metrology.csv", "limits.csv"):
         if not (data_dir / name).exists():
             raise ConfigError(f"data dir {data_dir} is missing {name}")
-    cat_cols = cfg.sensor_categorical_columns()
-    table = ingest.load_table(data_dir / "sensor.csv", ingest.SENSOR_ID_COLUMNS + cat_cols)
-    sensor, duplicates = ingest.parse_sensor_table(table, cat_cols), {"sensor": table.n_duplicates}
+    cols = cfg.sensor_categorical_columns()
+    table = ingest.load_table(data_dir / "sensor.csv", ingest.SENSOR_ID_COLUMNS + cols)
+    sensor, duplicates = ingest.parse_sensor_table(table, cols), {"sensor": table.n_duplicates}
     table = ingest.load_table(data_dir / "metrology.csv", ingest.METROLOGY_LABELS,
                               ingest.METROLOGY_NUMBERS)
     measurements = ingest.parse_metrology_table(table, cfg.monitor_marker())
@@ -263,7 +231,7 @@ def cmd_preprocess(args) -> int:
     cfg = RunConfig.load(args.config)
     data_dir = cfg.path("data_dir", args.data)
     out_dir = cfg.path("features_dir", args.out)
-    seed = cfg.get_number("preprocess", "seed", 0)
+    seed = cfg.value("preprocess", "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"[preprocess] seed must be >= 0, got {seed}")
     monitor_marker = cfg.monitor_marker()
@@ -317,8 +285,8 @@ def cmd_train(args) -> int:
     arch = ArchConfig.preset(preset, manifest["s_width"], manifest["m_width"])
 
     flt = _parse_filter(args.filter)
-    train_buckets = _apply_filter(preprocess.load_split(features_dir, "reg", "train"), flt)
-    val_buckets = _apply_filter(preprocess.load_split(features_dir, "reg", "val"), flt)
+    train_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "train", flt)
+    val_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "val", flt)
     if not train_buckets or not val_buckets:
         raise ConfigError("empty train or val set after filtering")
     groups = normgroups.read_groups_csv(features_dir / "groups.csv")
@@ -340,7 +308,7 @@ def cmd_train(args) -> int:
     write_history_csv(history_path, history)
     save_checkpoint(checkpoint_path, params, {
         "loss": train_cfg.loss,
-        "re_c": train_cfg.re_c,
+        "re_c": train_cfg.re_loss_c,
         "seed": train_cfg.seed,
         "preset": preset,
         "filter": args.filter or "",
@@ -356,7 +324,7 @@ def _predictions(params, meta, buckets, manifest, groups):
     preds, keep = [], []
     for bucket in buckets:
         p = ev.predict_bucket(params, bucket, manifest["s_width"], manifest["m_width"])
-        if meta["loss"] == "nl1":
+        if meta["loss"] == LOSS_NL1:
             p, k = ev.denormalize_bucket(p, bucket, groups)
         else:
             k = np.ones(len(p), dtype=bool)
@@ -369,7 +337,7 @@ def _column(buckets: list[preprocess.Bucket], key: str) -> np.ndarray:
     return np.concatenate([getattr(bucket, key) for bucket in buckets])
 
 
-def cmd_evaluate(args, sweep_only: bool = False) -> int:
+def cmd_evaluate(args) -> int:
     cfg = RunConfig.load(args.config)
     features_dir = cfg.path("features_dir", args.features)
     checkpoint_path = cfg.path("checkpoint", args.checkpoint)
@@ -388,8 +356,8 @@ def cmd_evaluate(args, sweep_only: bool = False) -> int:
     diagnostics: dict[str, int] = {}
 
     grouping = None
-    if not sweep_only:
-        reg_buckets = _apply_filter(preprocess.load_split(features_dir, "reg", "test"), flt)
+    if not args.sweep_only:
+        reg_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "test", flt)
         if not reg_buckets:
             raise ConfigError("no regression test samples after filtering")
         preds, keep = _predictions(params, meta, reg_buckets, manifest, groups)
@@ -398,7 +366,7 @@ def cmd_evaluate(args, sweep_only: bool = False) -> int:
         grouping = ev.grouping_report(preds[keep], _column(reg_buckets, "target")[keep])
         ev.write_grouping_csv(out_dir / "grouping.csv", grouping)
 
-    pf_buckets = _apply_filter(preprocess.load_split(features_dir, "pf", "test"), flt)
+    pf_buckets = _load_split(features_dir, preprocess.STREAM_PASSFAIL, "test", flt)
     sweep_rows: list[ev.SweepRow] = []
     if pf_buckets:
         preds, keep = _predictions(params, meta, pf_buckets, manifest, groups)
@@ -451,29 +419,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="features directory")
     p.add_argument("--out", help="checkpoint path (.npz)")
     p.add_argument("--history", help="history CSV path")
-    p.add_argument("--loss", choices=["re", "nl1"], help="override [train] loss")
-    p.add_argument("--arch", choices=["small", "large"], help="override [arch] preset")
+    p.add_argument("--loss", choices=LOSSES, help="override [train] loss")
+    p.add_argument("--arch", choices=list(PRESETS), help="override [arch] preset")
     p.add_argument("--filter", help="train on one subset, e.g. kqi=KQI-1,type=TYPE-1")
     p.add_argument("--seed", type=int, help="override [train] seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="grade predictions and run the pass/fail sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--features", help="features directory")
-    p.add_argument("--out", help="report directory")
-    p.add_argument("--f-grid", help="comma-separated f values")
-    p.add_argument("--test-filter", help="evaluate one subset, e.g. kqi=KQI-1,type=TYPE-1")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="run only the recall/FPR tradeoff sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--features", help="features directory")
-    p.add_argument("--out", help="report directory")
-    p.add_argument("--f-grid", help="comma-separated f values")
-    p.add_argument("--test-filter", help="evaluate one subset")
-    p.set_defaults(func=lambda a: cmd_evaluate(a, sweep_only=True))
+    for name, help_text, sweep_only in (
+            ("evaluate", "grade predictions and run the pass/fail sweep", False),
+            ("sweep", "run only the recall/FPR tradeoff sweep", True)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--checkpoint", help="trained checkpoint path")
+        p.add_argument("--features", help="features directory")
+        p.add_argument("--out", help="report directory")
+        p.add_argument("--f-grid", help="comma-separated f values")
+        p.add_argument("--test-filter", help="evaluate one subset, e.g. kqi=KQI-1,type=TYPE-1")
+        p.set_defaults(func=cmd_evaluate, sweep_only=sweep_only)
     return parser
 
 
@@ -484,7 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ingest.IngestError, preprocess.PreprocessError,
+    except (ConfigError, ingest.IngestError, preprocess.PreprocessError, CheckpointError,
             TrainingDiverged, ev.EvaluationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

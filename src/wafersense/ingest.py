@@ -38,6 +38,7 @@ LIMITS_COLUMNS = ["kqi", "type", "stage", "lcl", "ucl"]
 LIMITS_LABELS, LIMITS_NUMBERS = LIMITS_COLUMNS[:3], LIMITS_COLUMNS[3:]
 SENSOR_ID_COLUMNS = ["processing_id", "product_id", "timestamp"]
 CHUNK_ROWS = 512  # rows read, deduplicated and converted at a time
+MONITOR_MARKER = "MON"  # default substring of the KQI label that marks a monitor row
 
 _EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
@@ -223,7 +224,8 @@ def _label_column(cells, from_label) -> np.ndarray:
     return np.array([values[label] for label in cells], dtype=object)
 
 
-def parse_metrology_table(table: CsvTable, monitor_marker: str = "MON") -> MeasurementTable:
+def parse_metrology_table(table: CsvTable,
+                          monitor_marker: str = MONITOR_MARKER) -> MeasurementTable:
     """Parse metrology rows into a MeasurementTable.
 
     ``is_monitor`` is derived from the presence of ``monitor_marker`` as a

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ from .atomic import atomic_open
 
 GATES = ("i", "f", "g", "o")      # order of the per-gate names and checkpoint arrays
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
+PRESETS = {"small": (128, 256), "large": (1024, 2048)}  # name -> (d, mlp_hidden); first is default
+
+
+class CheckpointError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,18 @@ class ArchConfig:
 
     @classmethod
     def small(cls, sensor_dim: int, meas_dim: int) -> "ArchConfig":
-        return cls(sensor_dim, meas_dim, d=128, mlp_hidden=256)
+        return cls.preset("small", sensor_dim, meas_dim)
 
     @classmethod
     def large(cls, sensor_dim: int, meas_dim: int) -> "ArchConfig":
-        return cls(sensor_dim, meas_dim, d=1024, mlp_hidden=2048)
+        return cls.preset("large", sensor_dim, meas_dim)
 
     @classmethod
     def preset(cls, name: str, sensor_dim: int, meas_dim: int) -> "ArchConfig":
-        if name == "small":
-            return cls.small(sensor_dim, meas_dim)
-        if name == "large":
-            return cls.large(sensor_dim, meas_dim)
-        raise ValueError(f"unknown arch preset {name!r}")
+        if name not in PRESETS:
+            raise ValueError(f"preset must be {' or '.join(PRESETS)}, got {name!r}")
+        d, mlp_hidden = PRESETS[name]
+        return cls(sensor_dim, meas_dim, d=d, mlp_hidden=mlp_hidden)
 
 
 def param_count(cfg: ArchConfig) -> int:
@@ -283,21 +288,25 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; every array must have exactly its ArchConfig shape."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        cfg = ArchConfig(**meta.pop("arch"))
-        params = ModelParams(cfg, np.empty(param_count(cfg), dtype=np.dtype(meta.pop("dtype"))))
-        problems = [f"unexpected array {name!r}" for name in data.files
-                    if name not in params.names + ("__meta__",)]
-        for name, view in params.arrays():
-            stored = data[name] if name in data.files else None
-            if stored is not None and stored.shape == view.shape:
-                view[...] = stored
-            else:
-                problems.append(f"missing array {name!r}" if stored is None else
-                                f"array {name!r} has shape {stored.shape}, expected {view.shape}")
+    """Read a checkpoint; a damaged file or a wrongly shaped array raises CheckpointError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["__meta__"]))
+            cfg = ArchConfig(**meta.pop("arch"))
+            params = ModelParams(cfg, np.empty(param_count(cfg), np.dtype(meta.pop("dtype"))))
+            problems = [f"unexpected array {name!r}" for name in data.files
+                        if name not in params.names + ("__meta__",)]
+            for name, view in params.arrays():
+                stored = data[name] if name in data.files else None
+                if stored is not None and stored.shape == view.shape:
+                    view[...] = stored
+                else:
+                    problems.append(f"missing array {name!r}" if stored is None else
+                                    f"array {name!r} has shape {stored.shape}, "
+                                    f"expected {view.shape}")
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from None
     if problems:
-        raise ValueError(f"checkpoint {path} does not match its architecture: "
-                         + "; ".join(problems))
+        raise CheckpointError(f"checkpoint {path} does not match its architecture: "
+                              + "; ".join(problems))
     return params, meta

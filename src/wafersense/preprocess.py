@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import zipfile
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -363,17 +364,19 @@ def save_bucket(path: Path, bucket: Bucket) -> None:
 
 
 def load_bucket(path: Path) -> Bucket:
-    with np.load(path, allow_pickle=False) as data:
-        return Bucket(n_steps=int(data["n_steps"]),
-                      **{k: data[k] for k in BUCKET_ARRAY_KEYS})
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return Bucket(n_steps=int(data["n_steps"]), **{k: data[k] for k in BUCKET_ARRAY_KEYS})
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise PreprocessError(f"bucket file {path} is unreadable: {exc}") from None
 
 
 def load_split(features_dir: Path, stream: str, split: str) -> list[Bucket]:
     """The buckets that manifest.json lists for (stream, split), by n_steps.
 
     Other bucket files in the directory are ignored. A listed file that is
-    missing raises FileNotFoundError, one with another row count
-    PreprocessError.
+    missing raises FileNotFoundError, an unreadable one or one with another
+    row count PreprocessError.
     """
     sizes = read_manifest(features_dir)[0]["bucket_sizes"].get(f"{stream}_{split}", {})
     buckets = []

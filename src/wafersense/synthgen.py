@@ -66,7 +66,8 @@ class SynthConfig:
     missing_cell_rate: float = 0.02
     duplicate_row_rate: float = 0.01
     targ_rate: float = 0.5
-    group_offset_range: tuple[float, float] = (1.0, 3.0)
+    group_offset_lo: float = 1.0
+    group_offset_hi: float = 3.0
 
     def __post_init__(self) -> None:
         if self.n_wafers < 1:
@@ -97,8 +98,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ValueError("noise_sd must be finite and >= 0")
-        lo, hi = self.group_offset_range
-        if not -math.inf < lo <= hi < math.inf:
+        if not -math.inf < self.group_offset_lo <= self.group_offset_hi < math.inf:
             raise ValueError("group_offset_lo and group_offset_hi must be finite, lo <= hi")
 
     @property
@@ -107,7 +107,11 @@ class SynthConfig:
 
     @property
     def categorical_columns(self) -> list[str]:
-        return [f"cat_{i:02d}" for i in range(self.n_sensor_categoricals)]
+        return categorical_column_names(self.n_sensor_categoricals)
+
+
+def categorical_column_names(n: int) -> list[str]:
+    return [f"cat_{i:02d}" for i in range(n)]
 
 
 def step_value(numerics: np.ndarray, cat_labels: list[int],
@@ -160,7 +164,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
     # Centers are drawn per (type, stage) and shared across KQIs: those two
     # labels appear identically in the monitor and non-monitor streams, so a
     # model trained on one stream can still place the other stream's rows.
-    lo, hi = cfg.group_offset_range
+    lo, hi = cfg.group_offset_lo, cfg.group_offset_hi
     ts_centers = {
         (f"TYPE-{t + 1}", f"STG-{s + 1}"): float(rng.uniform(lo, hi))
         for t in range(cfg.n_type)

@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 LOSS_RE = "re"
 LOSS_NL1 = "nl1"
+LOSSES = (LOSS_RE, LOSS_NL1)
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,10 +45,10 @@ class TrainConfig:
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
-    re_c: float = 10.0
+    re_loss_c: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.loss not in (LOSS_RE, LOSS_NL1):
+        if self.loss not in LOSSES:
             raise ValueError(f"loss must be '{LOSS_RE}' or '{LOSS_NL1}', got {self.loss!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
@@ -59,8 +60,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (math.isfinite(self.re_c) and self.re_c > 0):
-            raise ValueError(f"re_loss_c must be > 0 and finite, got {self.re_c}")
+        if not (math.isfinite(self.re_loss_c) and self.re_loss_c > 0):
+            raise ValueError(f"re_loss_c must be > 0 and finite, got {self.re_loss_c}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def make_train_buckets(
         if cfg.loss == LOSS_RE:
             keep = slice(None)
             target = bucket.target
-            scale = re_scale(target, cfg.re_c)
+            scale = re_scale(target, cfg.re_loss_c)
         else:
             b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
             keep = np.nonzero(~np.isnan(b1))[0]

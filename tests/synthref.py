@@ -48,7 +48,7 @@ def generate(cfg: SynthConfig, out_dir) -> None:
     # Centers are drawn per (type, stage) and shared across KQIs: those two
     # labels appear identically in the monitor and non-monitor streams, so a
     # model trained on one stream can still place the other stream's rows.
-    lo, hi = cfg.group_offset_range
+    lo, hi = cfg.group_offset_lo, cfg.group_offset_hi
     ts_centers = {
         (f"TYPE-{t + 1}", f"STG-{s + 1}"): float(rng.uniform(lo, hi))
         for t in range(cfg.n_type)

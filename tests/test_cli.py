@@ -3,25 +3,145 @@ import json
 import os
 import re
 import shutil
+import string
 import subprocess
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wafersense
 from wafersense import atomic, cli, preprocess
 from wafersense.cli import ConfigError, RunConfig, _parse_filter
+from wafersense.synthgen import SynthConfig
+from wafersense.train import LOSSES, TrainConfig
 
-from conftest import TINY_CONFIG, run_cli, write_config
+from conftest import TINY_CONFIG, examples, run_cli, write_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 STRESS_CONFIG = (
     "[synth]\nn_wafers = 600\nseed = 5\nmissing_cell_rate = 0.3\nduplicate_row_rate = 0.2\n"
     "targ_rate = 0.2\nsensor_cat_vocab = 1\n[schema]\ntrain_on_monitor = true\n")
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+rate = st.floats(0.0, 1.0)
+
+
+@st.composite
+def synth_values(draw):
+    """A valid value for every SynthConfig field. With some of n_kqi, n_type and
+    n_stage left out, measurements_per_wafer may exceed their product; the config
+    and the direct build must then raise the same error."""
+    counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(counts), max_size=len(counts)))
+    lo = draw(finite)
+    values = dict(
+        n_wafers=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
+        step_weights={n: w / sum(raw) for n, w in zip(counts, raw)},
+        n_numeric_sensors=draw(st.integers(0, 100)),
+        n_sensor_categoricals=draw(st.integers(0, 10)),
+        **{key: draw(st.integers(1, 6)) for key in ("sensor_cat_vocab", "n_kqi", "n_type",
+                                                    "n_stage", "n_equip", "n_prod",
+                                                    "wafers_per_batch")},
+        noise_sd=draw(st.floats(0.0, 1e6)), fail_rate=draw(st.floats(0.0, 0.5, exclude_max=True)),
+        missing_cell_rate=draw(rate), duplicate_row_rate=draw(rate), targ_rate=draw(rate),
+        group_offset_lo=lo, group_offset_hi=draw(st.floats(lo, allow_infinity=False)))
+    n_combos = values["n_kqi"] * values["n_type"] * values["n_stage"]
+    values["measurements_per_wafer"] = draw(st.integers(1, n_combos))
+    return values
+
+
+@st.composite
+def train_values(draw):
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return dict(loss=draw(st.sampled_from(LOSSES)), learning_rate=draw(positive),
+                **{key: draw(st.integers(1, 10**4)) for key in ("batch_size", "patience",
+                                                               "max_epochs")},
+                seed=draw(st.integers(0, 2**64)), re_loss_c=draw(positive))
+
+
+def config_text(section: str, values: dict) -> str:
+    def text(v):
+        if isinstance(v, dict):
+            return ", ".join(f"{n}:{w!r}" for n, w in v.items())
+        return repr(v) if isinstance(v, float) else str(v)
+    return f"[{section}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in values.items())
+
+
+def built_or_error(build, prefix: str = ""):
+    """The repr of what ``build`` returns (so 5 and 5.0 differ), or the text of the
+    ValueError it raises after ``prefix``."""
+    try:
+        return repr(build())
+    except ValueError as exc:  # ConfigError is a ValueError
+        return prefix + str(exc)
+
+
+NUMERIC_FIELDS = [(section, f.name, typing.get_type_hints(cls)[f.name])
+                  for section, cls in (("synth", SynthConfig), ("train", TrainConfig))
+                  for f in fields(cls) if typing.get_type_hints(cls)[f.name] in (int, float)]
+
+
+def not_a_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return True
+    return False
+
+
 class TestRunConfig:
+    @settings(max_examples=examples(100), deadline=None)
+    @given(synth=synth_values(), train=train_values(), data=st.data(),
+           seed=st.none() | st.integers(0, 100), loss=st.none() | st.sampled_from(LOSSES))
+    def test_runconfig_builds_the_dataclasses_from_their_fields(self, tmp_path_factory, synth,
+                                                                train, data, seed, loss):
+        # every key given or left out; the --seed and --loss overrides win over the file
+        synth = {k: v for k, v in synth.items() if k == "n_wafers" or data.draw(st.booleans())}
+        train = {k: v for k, v in train.items() if data.draw(st.booleans())}
+        path = tmp_path_factory.getbasetemp() / "property.cfg"
+        path.write_text(config_text("synth", synth) + config_text("train", train),
+                        encoding="utf-8")
+        cfg = RunConfig.load(path)
+        expected_synth = dict(synth, **({} if seed is None else {"seed": seed}))
+        assert built_or_error(lambda: cfg.synth_config(seed_override=seed)) == built_or_error(
+            lambda: SynthConfig(**expected_synth), "[synth] ")
+        expected_train = dict(train, **{k: v for k, v in (("seed", seed), ("loss", loss))
+                                        if v is not None})
+        assert built_or_error(lambda: cfg.train_config(loss, seed)) == built_or_error(
+            lambda: TrainConfig(**expected_train), "[train] ")
+
+    @pytest.mark.parametrize("section, key, parse", NUMERIC_FIELDS,
+                             ids=[f"{s}.{k}" for s, k, _ in NUMERIC_FIELDS])
+    @settings(max_examples=examples(10), deadline=None)
+    @given(word=st.text(string.ascii_letters, min_size=1, max_size=8).filter(not_a_number))
+    def test_runconfig_names_the_key_of_a_non_numeric_value(self, tmp_path_factory, section,
+                                                            key, parse, word):
+        path = tmp_path_factory.getbasetemp() / "non_numeric.cfg"
+        required = "n_wafers = 5\n" if section == "synth" and key != "n_wafers" else ""
+        path.write_text(f"[{section}]\n{required}{key} = {word}\n", encoding="utf-8")
+        cfg = RunConfig.load(path)
+        with pytest.raises(ValueError) as parse_error:
+            parse(word)
+        with pytest.raises(ConfigError) as exc:
+            cfg.synth_config() if section == "synth" else cfg.train_config()
+        assert str(exc.value) == f"[{section}] {parse_error.value} (key {key})"
+
+    def test_readme_config_reference_lists_the_keys_runconfig_accepts(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Config reference", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| ")]
+        documented = {(section.strip(), key) for section, keys in rows
+                      if section.strip() != "Section" for key in keys.strip().split(" / ")}
+        assert documented == {(section, key) for section, keys in cli.KNOWN_KEYS.items()
+                              for key in keys}
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "[synth]\nn_wafers = 5\nbogus_key = 1\n")
         with pytest.raises(ConfigError, match=r"unknown config key \[synth\] bogus_key"):
@@ -102,7 +222,7 @@ class TestGenerate:
                                         "'lots' (key n_wafers)"),
         ("generate", "n_wafers = 0", "[synth] n_wafers must be >= 1"),
         ("generate", "n_wafers = 5\nstep_weights = 1:x",
-         "[synth] step_weights: expected n:weight pairs, got '1:x'"),
+         "[synth] expected n:weight pairs, got '1:x' (key step_weights)"),
         ("generate", "n_wafers = 5\nnoise_sd = loud",
          "[synth] could not convert string to float: 'loud' (key noise_sd)"),
         ("preprocess", "n_wafers = 30\n[preprocess]\nseed = -1",
@@ -409,6 +529,35 @@ class TestEvaluate:
                        "--test-filter", "kqi=KQI-1,type=TYPE-1") == 0
         rows = list(csv.reader(open(out / "grouping.csv")))
         assert sum(int(r[1]) for r in rows[1:7]) > 0
+
+
+def reshaped_wh_g(path: Path) -> None:
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["wh_g"] = np.zeros((3, arrays["wh_g"].shape[1]), arrays["wh_g"].dtype)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("model.npz", reshaped_wh_g),
+    ("model.npz", lambda path: path.write_bytes(path.read_bytes()[:2000])),
+    ("reg_test_n1.npz", lambda path: path.write_bytes(b"not a bucket file\n" * 50)),
+], ids=["checkpoint_wrong_shape", "checkpoint_truncated", "bucket_garbage"])
+def test_damaged_input_file_is_an_error_naming_it(tiny_run, tmp_path, capsys, name, damage):
+    checkpoint, features, out = tmp_path / "model.npz", tmp_path / "features", tmp_path / "r"
+    shutil.copy(tiny_run["checkpoint"], checkpoint)
+    shutil.copytree(tiny_run["features"], features)
+    damaged = checkpoint if name == "model.npz" else features / name
+    damage(damaged)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", tiny_run["config"], "--checkpoint", checkpoint,
+                   "--features", features, "--out", out) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(damaged) in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 class HalfWrittenFile:

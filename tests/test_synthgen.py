@@ -49,7 +49,7 @@ class TestConfigValidation:
         (dict(targ_rate=float("nan")), r"targ_rate must be in \[0, 1\]"),
         (dict(noise_sd=-0.2), "noise_sd must be finite and >= 0"),
         (dict(noise_sd=float("inf")), "noise_sd must be finite and >= 0"),
-        (dict(group_offset_range=(3.0, 1.0)), "group_offset_lo and group_offset_hi"),
+        (dict(group_offset_lo=3.0, group_offset_hi=1.0), "group_offset_lo and group_offset_hi"),
         # 0 wrote a header-only metrology.csv that preprocess then refused
         (dict(measurements_per_wafer=0), r"measurements_per_wafer must be in \[1, "),
     ])
@@ -60,7 +60,7 @@ class TestConfigValidation:
     def test_edge_values_accepted(self):
         SynthConfig(n_wafers=1, n_numeric_sensors=0, n_sensor_categoricals=0,
                     measurements_per_wafer=1, missing_cell_rate=1.0, duplicate_row_rate=1.0,
-                    targ_rate=0.0, noise_sd=0.0, group_offset_range=(2.0, 2.0))
+                    targ_rate=0.0, noise_sd=0.0, group_offset_lo=2.0, group_offset_hi=2.0)
         SynthConfig(n_wafers=10, measurements_per_wafer=12)
 
     def test_defaults_mass_on_two_and_three(self):
@@ -111,7 +111,7 @@ def small_configs(draw):
         missing_cell_rate=draw(rate),
         duplicate_row_rate=draw(rate),
         targ_rate=draw(rate),
-        group_offset_range=(lo, lo + draw(st.floats(0.0, 4.0))),
+        group_offset_lo=lo, group_offset_hi=lo + draw(st.floats(0.0, 4.0)),
     )
 
 

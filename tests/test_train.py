@@ -54,7 +54,7 @@ class TestReLoss:
 
     def test_invalid_c_rejected(self):
         with pytest.raises(ValueError, match="re_loss_c"):
-            TrainConfig(re_c=0.0)
+            TrainConfig(re_loss_c=0.0)
 
     @given(st.floats(-500, 500), st.floats(-500, 500))
     def test_piecewise_identity(self, y, y_hat):
@@ -129,7 +129,7 @@ class TestVectorizedLosses:
     def test_re_matches_scalar(self):
         rng = np.random.default_rng(0)
         preds, targets = rng.normal(0, 50, 100), rng.normal(0, 50, 100)
-        cfg = TrainConfig(re_c=10.0)
+        cfg = TrainConfig(re_loss_c=10.0)
         losses, grads = bucket_losses(preds, targets, cfg)
         for i in range(100):
             assert losses[i] == re_loss(preds[i], targets[i])
@@ -499,7 +499,7 @@ class TestMakeTrainBuckets:
         monkeypatch.setattr(train, "group_bounds", no_lookup)
         bucket = raw_bucket(["K", "UNGROUPED", "K"], target=[5.0, -25.0, 12.5])
         out = make_train_buckets([bucket], 3, 2, {("K", "T", "S"): GROUP},
-                                 TrainConfig(re_c=10.0))
+                                 TrainConfig(re_loss_c=10.0))
         assert len(out[0]) == 3
         assert np.array_equal(out[0].target, [5.0, -25.0, 12.5])
         assert np.array_equal(out[0].scale, [10.0, 25.0, 12.5])  # max(|y|, c)
