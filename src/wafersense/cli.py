@@ -245,7 +245,7 @@ def cmd_preprocess(args) -> int:
     pipeline = preprocess.fit_pipeline(wafers, train)
     groups = normgroups.build_groups(
         wafers.measurements.take(wafers.measurement_rows(train)), limits)
-    normgroups.write_groups_csv(out_dir / "groups.csv", groups)
+    preprocess.write_groups_csv(out_dir / "groups.csv", groups)
     _status(f"S = {pipeline.s_width}, M = {pipeline.m_width}, "
             f"normalization groups = {len(groups)}")
 
@@ -289,13 +289,17 @@ def cmd_train(args) -> int:
     val_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "val", flt)
     if not train_buckets or not val_buckets:
         raise ConfigError("empty train or val set after filtering")
-    groups = normgroups.read_groups_csv(features_dir / "groups.csv")
+    groups = preprocess.read_groups_csv(features_dir / "groups.csv")
 
     tb = make_train_buckets(train_buckets, manifest["s_width"], manifest["m_width"],
                             groups, train_cfg)
     vb = make_train_buckets(val_buckets, manifest["s_width"], manifest["m_width"],
                             groups, train_cfg)
     n_train = sum(len(b) for b in tb)
+    history_path = args.history or checkpoint_path.with_name(
+        checkpoint_path.stem + "_history.csv")
+    for path in (checkpoint_path, Path(history_path)):  # before the fit, not after it
+        path.parent.mkdir(parents=True, exist_ok=True)
     _status(f"training {preset} model ({train_cfg.loss} loss) on "
             f"{n_train} samples, validating on {sum(len(b) for b in vb)}")
 
@@ -303,8 +307,6 @@ def cmd_train(args) -> int:
     best = min(h.val_loss for h in history)
     _status(f"stopped after {len(history)} epochs, best validation loss {best:.6f}")
 
-    history_path = args.history or checkpoint_path.with_name(
-        checkpoint_path.stem + "_history.csv")
     write_history_csv(history_path, history)
     save_checkpoint(checkpoint_path, params, {
         "loss": train_cfg.loss,
@@ -350,7 +352,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             "checkpoint was trained on different preprocessing "
             f"(manifest hash {meta['manifest_hash'][:12]} != {manifest_hash[:12]})")
-    groups = normgroups.read_groups_csv(features_dir / "groups.csv")
+    groups = preprocess.read_groups_csv(features_dir / "groups.csv")
     flt = _parse_filter(args.test_filter)
     f_grid = cfg.f_grid(args.f_grid)
     diagnostics: dict[str, int] = {}

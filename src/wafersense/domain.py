@@ -8,7 +8,6 @@ invariants on construction and is never mutated afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 
 import numpy as np
 
@@ -17,39 +16,12 @@ class DomainError(ValueError):
     """A domain invariant was violated."""
 
 
-class PassFail(str, Enum):
-    PASS = "PASS"
-    FAIL_AVG_HI = "FAIL_AVG_HI"
-    FAIL_AVG_LOW = "FAIL_AVG_LOW"
-    OTHER = "OTHER"
-
-    @classmethod
-    def from_label(cls, label: str) -> "PassFail":
-        try:
-            return cls(label)
-        except ValueError:
-            return cls.OTHER
-
-
-class Inspection(str, Enum):
-    NONE = "NONE"
-    REWORK = "REWORK"
-    SCRAP = "SCRAP"
-    OTHER = "OTHER"
-
-    @classmethod
-    def from_label(cls, label: str) -> "Inspection":
-        if label == "":
-            return cls.NONE
-        try:
-            return cls(label)
-        except ValueError:
-            return cls.OTHER
-
-
-class LimitSource(str, Enum):
-    TARG = "TARG"
-    LCL_UCL = "LCL_UCL"
+# The metrology file's label vocabularies; the labels after the first mark a
+# fail. Any other label reads OTHER_LABEL, and an empty inspection cell NONE.
+PASSFAIL_LABELS = ("PASS", "FAIL_AVG_HI", "FAIL_AVG_LOW")
+INSPECTION_LABELS = ("NONE", "REWORK", "SCRAP")
+OTHER_LABEL = "OTHER"
+LIMIT_SOURCES = ("TARG", "LCL_UCL")  # a measurement's limits: its targ pair, or the limits file
 
 
 # Appended after the raw numeric readings in every SensorTable.numeric row.
@@ -105,7 +77,8 @@ class SensorTable:
 @dataclass(frozen=True)
 class MeasurementTable:
     """Metrology rows as columns of str objects, floats (NaN: missing targ) and
-    bools; passfail and inspection hold PassFail and Inspection values."""
+    bools; passfail and inspection hold PASSFAIL_LABELS and INSPECTION_LABELS
+    entries or OTHER_LABEL."""
 
     processing_id: np.ndarray
     product_id: np.ndarray
@@ -210,7 +183,7 @@ class WaferRecord:
 
 @dataclass(frozen=True)
 class ControlLimits:
-    """Resolved lower/upper control limits and their LimitSource value, one
+    """Resolved lower/upper control limits and their LIMIT_SOURCES entry, one
     entry per measurement; NaN limits and source "" where nothing resolved."""
 
     lcl: np.ndarray

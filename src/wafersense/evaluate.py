@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .domain import ErrorRecord, Inspection, PassFail
+from .domain import INSPECTION_LABELS, PASSFAIL_LABELS, ErrorRecord
 from .nn import ModelParams, forward_batch
-from .normgroups import GroupKey, NormalizationGroup, group_bounds
+from .normgroups import GroupKey, NormalizationGroup, denormalize, group_bounds
 from .preprocess import Bucket, unjoin
 
 log = logging.getLogger(__name__)
@@ -89,8 +89,8 @@ def grouping_report(y_hat, y) -> GroupingReport:
 def label_fail_arrays(passfail, inspection, meas_med, lcl, ucl) -> np.ndarray:
     """True where the fail label, the inspection outcome (rework or scrap) and
     a measurement outside the control limits all agree the wafer failed."""
-    fail_label = np.isin(passfail, [PassFail.FAIL_AVG_HI.value, PassFail.FAIL_AVG_LOW.value])
-    inspected = np.isin(inspection, [Inspection.REWORK.value, Inspection.SCRAP.value])
+    fail_label = np.isin(passfail, PASSFAIL_LABELS[1:])
+    inspected = np.isin(inspection, INSPECTION_LABELS[1:])
     outside = (meas_med > ucl) | (meas_med < lcl)
     return fail_label & inspected & outside
 
@@ -173,8 +173,8 @@ def denormalize_bucket(preds: np.ndarray, bucket: Bucket,
     Returns (y_hat, keep mask); samples whose key has no group are masked
     out, and their y_hat is NaN.
     """
-    b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
-    return preds * (b2 - b1) + b1, ~np.isnan(b1)
+    bounds = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
+    return denormalize(preds, bounds), ~np.isnan(bounds.b1)
 
 
 # Report files: a grouping CSV, a sweep CSV (doubling as plot data), and a

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Inspection, MeasurementTable, PassFail, SensorTable, WaferTable
+from .domain import (INSPECTION_LABELS, OTHER_LABEL, PASSFAIL_LABELS, MeasurementTable,
+                     SensorTable, WaferTable)
 
 log = logging.getLogger(__name__)
 
@@ -219,8 +220,10 @@ def parse_sensor_table(table: CsvTable, categorical_columns: list[str]) -> Senso
         numeric_names=table.numbers, categorical_names=tuple(categorical_columns))
 
 
-def _label_column(cells, from_label) -> np.ndarray:
-    values = {label: from_label(label).value for label in set(cells)}
+def _label_column(cells, labels: tuple[str, ...], empty: str) -> np.ndarray:
+    """``cells``, an empty one read as ``empty`` and one not in ``labels`` as OTHER_LABEL."""
+    values = {label: label if label in labels else OTHER_LABEL for label in set(cells)}
+    values[""] = empty
     return np.array([values[label] for label in cells], dtype=object)
 
 
@@ -243,8 +246,9 @@ def parse_metrology_table(table: CsvTable,
         log.info("parse_metrology_table: skipped %d unusable rows, %d of them with "
                  "targ_min >= targ_max", len(keep) - keep.sum(), inverted.sum())
     fields = {("mtype" if name == "type" else name): col[name][keep] for name in METROLOGY_COLUMNS}
-    fields.update(passfail=_label_column(fields["passfail"], PassFail.from_label),
-                  inspection=_label_column(fields["inspection"], Inspection.from_label),
+    fields.update(passfail=_label_column(fields["passfail"], PASSFAIL_LABELS, OTHER_LABEL),
+                  inspection=_label_column(fields["inspection"], INSPECTION_LABELS,
+                                           INSPECTION_LABELS[0]),
                   is_monitor=np.array([monitor_marker in kqi for kqi in fields["kqi"]], dtype=bool))
     return MeasurementTable(**fields)
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, open_npz
 
 GATES = ("i", "f", "g", "o")      # order of the per-gate names and checkpoint arrays
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
@@ -289,23 +288,20 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint; a damaged file or a wrongly shaped array raises CheckpointError."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
-            cfg = ArchConfig(**meta.pop("arch"))
-            params = ModelParams(cfg, np.empty(param_count(cfg), np.dtype(meta.pop("dtype"))))
-            problems = [f"unexpected array {name!r}" for name in data.files
-                        if name not in params.names + ("__meta__",)]
-            for name, view in params.arrays():
-                stored = data[name] if name in data.files else None
-                if stored is not None and stored.shape == view.shape:
-                    view[...] = stored
-                else:
-                    problems.append(f"missing array {name!r}" if stored is None else
-                                    f"array {name!r} has shape {stored.shape}, "
-                                    f"expected {view.shape}")
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from None
+    with open_npz(path, CheckpointError, "checkpoint") as data:
+        meta = json.loads(str(data["__meta__"]))
+        cfg = ArchConfig(**meta.pop("arch"))
+        params = ModelParams(cfg, np.empty(param_count(cfg), np.dtype(meta.pop("dtype"))))
+        problems = [f"unexpected array {name!r}" for name in data.files
+                    if name not in params.names + ("__meta__",)]
+        for name, view in params.arrays():
+            stored = data[name] if name in data.files else None
+            if stored is not None and stored.shape == view.shape:
+                view[...] = stored
+            else:
+                problems.append(f"missing array {name!r}" if stored is None else
+                                f"array {name!r} has shape {stored.shape}, "
+                                f"expected {view.shape}")
     if problems:
         raise CheckpointError(f"checkpoint {path} does not match its architecture: "
                               + "; ".join(problems))

@@ -7,14 +7,13 @@ back with the inverse affine transform.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_open
-from .domain import ControlLimits, LimitSource, MeasurementTable
+from .domain import LIMIT_SOURCES, ControlLimits, MeasurementTable
 
 GroupKey = tuple[str, str, str]
 
@@ -51,8 +50,8 @@ def resolve_control_limits(
     """
     pairs = lookup_pairs(fallback, measurements.group_keys())
     targ = ~np.isnan(measurements.targ_min) & ~np.isnan(measurements.targ_max)
-    source = np.where(targ, LimitSource.TARG.value,
-                      np.where(np.isnan(pairs[:, 0]), "", LimitSource.LCL_UCL.value))
+    targ_source, table_source = LIMIT_SOURCES
+    source = np.where(targ, targ_source, np.where(np.isnan(pairs[:, 0]), "", table_source))
     return ControlLimits(np.where(targ, measurements.targ_min, pairs[:, 0]),
                          np.where(targ, measurements.targ_max, pairs[:, 1]), source)
 
@@ -79,34 +78,22 @@ def build_groups(
             for i in best}
 
 
-def normalize_target(y: float, g: NormalizationGroup) -> float:
+class GroupBounds(NamedTuple):
+    """Per-sample (b1, b2) arrays; NaN where a sample's key has no group."""
+
+    b1: np.ndarray
+    b2: np.ndarray
+
+
+def normalize_target(y, g: NormalizationGroup | GroupBounds):
     return (y - g.b1) / (g.b2 - g.b1)
 
 
-def denormalize(y_tilde: float, g: NormalizationGroup) -> float:
+def denormalize(y_tilde, g: NormalizationGroup | GroupBounds):
     return y_tilde * (g.b2 - g.b1) + g.b1
 
 
-def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage):
-    """Per-sample (b1, b2) arrays for the keys (kqi[i], mtype[i], stage[i]);
-    NaN where a key has no group."""
-    return tuple(lookup_pairs({key: (g.b1, g.b2) for key, g in groups.items()},
-                              zip(kqi, mtype, stage)).T)
-
-
-def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kqi", "type", "stage", "b1", "b2"])
-        for key in sorted(groups):
-            g = groups[key]
-            writer.writerow([key[0], key[1], key[2], repr(g.b1), repr(g.b2)])
-
-
-def read_groups_csv(path) -> dict[GroupKey, NormalizationGroup]:
-    groups: dict[GroupKey, NormalizationGroup] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["kqi"], row["type"], row["stage"])
-            groups[key] = NormalizationGroup(key, float(row["b1"]), float(row["b2"]))
-    return groups
+def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage) -> GroupBounds:
+    """The bounds of the keys (kqi[i], mtype[i], stage[i])."""
+    return GroupBounds(*lookup_pairs({key: (g.b1, g.b2) for key, g in groups.items()},
+                                     zip(kqi, mtype, stage)).T)

@@ -16,20 +16,20 @@ checkpoints to the preprocessing that produced their features.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
-import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, open_npz
 from .domain import (DATETIME_FEATURES, MeasurementRecord, MeasurementTable, SensorTable,
                      WaferRecord, WaferTable)
-from .normgroups import GroupKey, resolve_control_limits
+from .normgroups import GroupKey, NormalizationGroup, resolve_control_limits
 
 log = logging.getLogger(__name__)
 
@@ -295,7 +295,7 @@ class Bucket:
     inspection: np.ndarray
     lcl: np.ndarray           # NaN where no limits resolved
     ucl: np.ndarray
-    limit_source: np.ndarray  # "TARG" | "LCL_UCL" | ""
+    limit_source: np.ndarray  # a LIMIT_SOURCES entry, or ""
     processing_id: np.ndarray
     product_id: np.ndarray
 
@@ -347,10 +347,7 @@ def build_buckets(
     return out
 
 
-BUCKET_ARRAY_KEYS = (
-    "features", "target", "kqi", "mtype", "stage", "passfail", "inspection",
-    "lcl", "ucl", "limit_source", "processing_id", "product_id",
-)
+BUCKET_ARRAY_KEYS = tuple(f.name for f in fields(Bucket) if f.name != "n_steps")
 
 
 def bucket_filename(stream: str, split: str, n_steps: int) -> str:
@@ -364,11 +361,8 @@ def save_bucket(path: Path, bucket: Bucket) -> None:
 
 
 def load_bucket(path: Path) -> Bucket:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return Bucket(n_steps=int(data["n_steps"]), **{k: data[k] for k in BUCKET_ARRAY_KEYS})
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise PreprocessError(f"bucket file {path} is unreadable: {exc}") from None
+    with open_npz(path, PreprocessError, "bucket file") as data:
+        return Bucket(n_steps=int(data["n_steps"]), **{k: data[k] for k in BUCKET_ARRAY_KEYS})
 
 
 def load_split(features_dir: Path, stream: str, split: str) -> list[Bucket]:
@@ -404,5 +398,31 @@ def write_manifest(features_dir: Path, pipeline: FeaturePipeline,
 
 
 def read_manifest(features_dir: Path) -> tuple[dict, str]:
-    blob = (Path(features_dir) / "manifest.json").read_bytes()
-    return json.loads(blob), hashlib.sha256(blob).hexdigest()
+    path = Path(features_dir) / "manifest.json"
+    blob = path.read_bytes()
+    try:
+        manifest = json.loads(blob)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise PreprocessError(f"{path} is not valid JSON: {exc}") from None
+    return manifest, hashlib.sha256(blob).hexdigest()
+
+
+def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kqi", "type", "stage", "b1", "b2"])
+        writer.writerows([*key, repr(g.b1), repr(g.b2)] for key, g in sorted(groups.items()))
+
+
+def read_groups_csv(path) -> dict[GroupKey, NormalizationGroup]:
+    """Read groups.csv; a row that is no group raises PreprocessError naming its line."""
+    groups: dict[GroupKey, NormalizationGroup] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                key = (row["kqi"], row["type"], row["stage"])
+                groups[key] = NormalizationGroup(key, float(row["b1"]), float(row["b2"]))
+            except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing column
+                raise PreprocessError(f"{path} line {reader.line_num}: {exc}") from None
+    return groups

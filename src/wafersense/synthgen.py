@@ -36,6 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .domain import INSPECTION_LABELS, OTHER_LABEL, PASSFAIL_LABELS
+from .ingest import LIMITS_COLUMNS, METROLOGY_COLUMNS, MONITOR_MARKER, SENSOR_ID_COLUMNS
 
 DEFAULT_STEP_WEIGHTS = {1: 0.1, 2: 0.35, 3: 0.35, 4: 0.1, 5: 0.1}
 
@@ -44,6 +46,9 @@ CAT_OFFSET_RANGE = 0.5
 NUMERIC_RANGE = (0.0, 10.0)
 FALLBACK_HALF_WIDTH = 1.0      # control-limit half width when noise_sd = 0
 INSPECTED_FAIL_RATE = 0.9      # fail rows that actually get REWORK/SCRAP
+
+_PASS, _FAIL_HI, _FAIL_LOW = PASSFAIL_LABELS
+_NOT_INSPECTED, _REWORK, _SCRAP = INSPECTION_LABELS
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,11 @@ class SynthResult:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _monitor_kqi(kqi: str) -> str:
+    """The label of ``kqi`` on a monitor row: ingest's default marker after "KQI-"."""
+    return kqi.replace("KQI-", f"KQI-{MONITOR_MARKER}-")
 
 
 def generate(cfg: SynthConfig, out_dir) -> SynthResult:
@@ -251,17 +261,10 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
     metrology_path = out_dir / "metrology.csv"
     limits_path = out_dir / "limits.csv"
     manifest_path = out_dir / "truth_manifest.json"
-    sensor_header = ["processing_id", "product_id", "timestamp"]
-    sensor_header += cfg.numeric_columns + cfg.categorical_columns
-    metrology_header = ["processing_id", "product_id", "kqi", "type", "stage",
-                        "equipid", "prod", "meas_med", "passfail", "inspection",
-                        "targ_min", "targ_max"]
-    limit_rows = [
-        [kqi_label, combo[1], combo[2], _fmt(group_maps[combo]["lcl"]),
-         _fmt(group_maps[combo]["ucl"])]
-        for combo in combos
-        for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-"))
-    ]
+    sensor_header = SENSOR_ID_COLUMNS + cfg.numeric_columns + cfg.categorical_columns
+    labelled = [(label, combo) for combo in combos for label in (combo[0], _monitor_kqi(combo[0]))]
+    limit_rows = [[label, combo[1], combo[2], _fmt(group_maps[combo]["lcl"]),
+                   _fmt(group_maps[combo]["ucl"])] for label, combo in labelled]
     manifest = {
         "mechanism": (
             "meas_med = slope*z + intercept + N(0, noise_sd), with z the "
@@ -281,11 +284,10 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
         "noise_sd": cfg.noise_sd,
         "half_width": half_width,
         "groups": {
-            "|".join((kqi_label, combo[1], combo[2])): {
+            "|".join((label, combo[1], combo[2])): {
                 key: group_maps[combo][key] for key in ("slope", "intercept", "lcl", "ucl")
             }
-            for combo in combos
-            for kqi_label in (combo[0], combo[0].replace("KQI-", "KQI-MON-"))
+            for label, combo in labelled
         },
         "config": {
             "n_wafers": cfg.n_wafers,
@@ -303,14 +305,14 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
           atomic_open(limits_path, "w", newline="", encoding="utf-8") as limits_fh,
           atomic_open(manifest_path, "w", encoding="utf-8") as manifest_fh):
         sensor_fh.write(_csv_line(sensor_header))
-        metrology_fh.write(_csv_line(metrology_header))
+        metrology_fh.write(_csv_line(METROLOGY_COLUMNS))
         for batch in batches:
             sensor_lines, metrology_lines, duplicates = _batch_lines(batch, group_maps,
                                                                      rng, cfg)
             sensor_fh.writelines(sensor_lines)
             metrology_fh.writelines(metrology_lines)
             counts += (len(sensor_lines), len(metrology_lines), *duplicates)
-        limits_fh.write(_csv_line(["kqi", "type", "stage", "lcl", "ucl"]))
+        limits_fh.write(_csv_line(LIMITS_COLUMNS))
         limits_fh.writelines(map(_csv_line, limit_rows))
         manifest_fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -343,13 +345,9 @@ def _batch_lines(batch: dict, group_maps: dict, rng: np.random.Generator,
         gmap = group_maps[(kqi, mtype, stage)]
         clean = gmap["slope"] * z + gmap["intercept"]
         noise = float(rng.normal(0.0, cfg.noise_sd)) if cfg.noise_sd > 0 else 0.0
-        if clean > gmap["ucl"]:
-            passfail = "FAIL_AVG_HI"
-        elif clean < gmap["lcl"]:
-            passfail = "FAIL_AVG_LOW"
-        else:
-            passfail = "PASS"
-        per_combo.append((kqi, kqi.replace("KQI-", "KQI-MON-"), mtype, stage,
+        passfail = (_FAIL_HI if clean > gmap["ucl"] else _FAIL_LOW if clean < gmap["lcl"]
+                    else _PASS)
+        per_combo.append((kqi, _monitor_kqi(kqi), mtype, stage,
                           _fmt(clean + noise), passfail, _fmt(gmap["lcl"]),
                           _fmt(gmap["ucl"])))
 
@@ -375,12 +373,12 @@ def _batch_lines(batch: dict, group_maps: dict, rng: np.random.Generator,
                 sensor_lines.append(line)
                 n_sensor_dups += 1
         for kqi, kqi_mon, mtype, stage, value, passfail, lcl, ucl in per_combo:
-            if passfail == "PASS":
-                inspection = "OTHER" if rng.random() < 0.02 else "NONE"
+            if passfail == _PASS:
+                inspection = OTHER_LABEL if rng.random() < 0.02 else _NOT_INSPECTED
             elif rng.random() < INSPECTED_FAIL_RATE:
-                inspection = "REWORK" if rng.random() < 0.5 else "SCRAP"
+                inspection = _REWORK if rng.random() < 0.5 else _SCRAP
             else:
-                inspection = "NONE"
+                inspection = _NOT_INSPECTED
             has_targ = rng.random() < cfg.targ_rate
             line = _csv_line([pid, product_id, kqi if w_idx > 0 else kqi_mon, mtype, stage,
                               batch["equip"], prod, value, passfail, inspection,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
-from .normgroups import GroupKey, NormalizationGroup, group_bounds
+from .normgroups import GroupKey, NormalizationGroup, group_bounds, normalize_target
 from .preprocess import Bucket, unjoin
 
 log = logging.getLogger(__name__)
@@ -123,10 +123,10 @@ def make_train_buckets(
             target = bucket.target
             scale = re_scale(target, cfg.re_loss_c)
         else:
-            b1, b2 = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
-            keep = np.nonzero(~np.isnan(b1))[0]
+            bounds = group_bounds(groups, bucket.kqi, bucket.mtype, bucket.stage)
+            keep = np.nonzero(~np.isnan(bounds.b1))[0]
             excluded += len(bucket) - len(keep)
-            target = (bucket.target[keep] - b1[keep]) / (b2[keep] - b1[keep])
+            target = normalize_target(bucket.target, bounds)[keep]
             scale = np.ones(len(keep))
         if len(target):
             out.append(TrainBucket(bucket.n_steps, steps[keep], meas[keep], target, scale))

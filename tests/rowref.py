@@ -19,7 +19,6 @@ from math import isfinite
 
 import numpy as np
 
-from wafersense.domain import Inspection, LimitSource, PassFail
 from wafersense.ingest import METROLOGY_COLUMNS, LIMITS_COLUMNS, SENSOR_ID_COLUMNS, IngestError
 from wafersense.normgroups import MIN_GROUP_WIDTH, NormalizationGroup
 from wafersense.preprocess import (
@@ -35,6 +34,16 @@ from wafersense.preprocess import (
 )
 
 DATETIME_FEATURES = ("time_of_day", "day_of_year")
+
+
+def passfail_label(cell):
+    return cell if cell in ("PASS", "FAIL_AVG_HI", "FAIL_AVG_LOW") else "OTHER"
+
+
+def inspection_label(cell):
+    if not cell:
+        return "NONE"
+    return cell if cell in ("NONE", "REWORK", "SCRAP") else "OTHER"
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,8 @@ class MeasurementRecord:
     equipid: str
     prod: str
     meas_med: float
-    passfail: PassFail
-    inspection: Inspection
+    passfail: str
+    inspection: str
     targ_min: float | None
     targ_max: float | None
     is_monitor: bool
@@ -142,8 +151,8 @@ def parse_metrology_table(names, rows, monitor_marker):
             id=WaferId(row[idx["processing_id"]], row[idx["product_id"]]),
             kqi=kqi, mtype=row[idx["type"]] or "", stage=row[idx["stage"]] or "",
             equipid=row[idx["equipid"]] or "", prod=row[idx["prod"]] or "",
-            meas_med=meas_med, passfail=PassFail.from_label(row[idx["passfail"]] or ""),
-            inspection=Inspection.from_label(row[idx["inspection"]] or ""),
+            meas_med=meas_med, passfail=passfail_label(row[idx["passfail"]]),
+            inspection=inspection_label(row[idx["inspection"]]),
             targ_min=targ_min, targ_max=targ_max, is_monitor=monitor_marker in kqi))
     return records
 
@@ -294,10 +303,10 @@ def fit_pipeline(train_wafers, train_measurements, numeric_names, sensor_cat_nam
 def resolve_control_limits(meas, fallback):
     """(lcl, ucl, source) or None."""
     if meas.targ_min is not None and meas.targ_max is not None:
-        return meas.targ_min, meas.targ_max, LimitSource.TARG
+        return meas.targ_min, meas.targ_max, "TARG"
     pair = fallback.get(meas.group_key)
     if pair is not None:
-        return pair[0], pair[1], LimitSource.LCL_UCL
+        return pair[0], pair[1], "LCL_UCL"
     return None
 
 
@@ -339,11 +348,11 @@ def build_buckets(wafers, pipeline, limits_table, monitor_stream):
             acc["kqi"].append(m.kqi)
             acc["mtype"].append(m.mtype)
             acc["stage"].append(m.stage)
-            acc["passfail"].append(m.passfail.value)
-            acc["inspection"].append(m.inspection.value)
+            acc["passfail"].append(m.passfail)
+            acc["inspection"].append(m.inspection)
             acc["lcl"].append(limits[0] if limits else np.nan)
             acc["ucl"].append(limits[1] if limits else np.nan)
-            acc["limit_source"].append(limits[2].value if limits else "")
+            acc["limit_source"].append(limits[2] if limits else "")
             acc["processing_id"].append(wafer.id.processing_id)
             acc["product_id"].append(wafer.id.product_id)
     out = {}

@@ -409,6 +409,12 @@ class TestTrain:
                        "--out", tmp_path / "model.npz") == 0
         assert f"on {sizes['1'] + sizes['2']} samples" in capsys.readouterr().err
 
+    def test_missing_output_directories_are_made_before_training(self, tiny_run, tmp_path):
+        out, history = tmp_path / "a" / "b" / "model.npz", tmp_path / "c" / "history.csv"
+        assert run_cli("train", "--config", tiny_run["config"], "--features",
+                       tiny_run["features"], "--out", out, "--history", history) == 0
+        assert out.exists() and history.exists()
+
     @pytest.mark.parametrize("loss", ["re", "nl1"])
     def test_one_and_two_blas_threads_give_identical_files(self, tiny_run, tmp_path, loss):
         src = str(Path(wafersense.__file__).resolve().parents[1])
@@ -539,12 +545,21 @@ def reshaped_wh_g(path: Path) -> None:
         np.savez(fh, **arrays)
 
 
-@pytest.mark.parametrize("name, damage", [
-    ("model.npz", reshaped_wh_g),
-    ("model.npz", lambda path: path.write_bytes(path.read_bytes()[:2000])),
-    ("reg_test_n1.npz", lambda path: path.write_bytes(b"not a bucket file\n" * 50)),
-], ids=["checkpoint_wrong_shape", "checkpoint_truncated", "bucket_garbage"])
-def test_damaged_input_file_is_an_error_naming_it(tiny_run, tmp_path, capsys, name, damage):
+@pytest.mark.parametrize("name, damage, message", [
+    ("model.npz", reshaped_wh_g, "does not match its architecture"),
+    ("model.npz", lambda path: path.write_bytes(path.read_bytes()[:2000]), "is unreadable"),
+    ("model.npz", lambda path: path.write_bytes(b"not a checkpoint\n" * 50),
+     "is not an .npz file"),
+    ("reg_test_n1.npz", lambda path: path.write_bytes(b"not a bucket file\n" * 50),
+     "is not an .npz file"),
+    ("groups.csv", lambda path: path.write_text("kqi,type,stage,b1,b2\nK,T,S,2.0,1.0\n"),
+     "line 2: b1 must be < b2"),
+    ("groups.csv", lambda path: path.write_text("kqi,type,stage,b1\nK,T,S,2.0\n"), "line 2: 'b2'"),
+    ("manifest.json", lambda path: path.write_text("{not json"), "is not valid JSON"),
+], ids=["checkpoint_wrong_shape", "checkpoint_truncated", "checkpoint_garbage", "bucket_garbage",
+        "groups_inverted_pair", "groups_missing_column", "manifest_not_json"])
+def test_damaged_input_file_is_an_error_naming_it(tiny_run, tmp_path, capsys, name, damage,
+                                                  message):
     checkpoint, features, out = tmp_path / "model.npz", tmp_path / "features", tmp_path / "r"
     shutil.copy(tiny_run["checkpoint"], checkpoint)
     shutil.copytree(tiny_run["features"], features)
@@ -555,8 +570,8 @@ def test_damaged_input_file_is_an_error_naming_it(tiny_run, tmp_path, capsys, na
                    "--features", features, "--out", out) == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and str(damaged) in errors[0], err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and str(damaged) in errors[0] and message in errors[0], err
+    assert "Traceback" not in err and "pickle" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

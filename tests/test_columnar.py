@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wafersense import ingest, preprocess
-from wafersense.normgroups import read_groups_csv
+from wafersense.preprocess import read_groups_csv
 
 import rowref
 from conftest import examples, run_cli

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wafersense.cli import ConfigError, RunConfig
-from wafersense.domain import ControlLimits, DomainError, Inspection, LimitSource, PassFail
+from wafersense.domain import ControlLimits, DomainError
 from wafersense.evaluate import (
     DEFAULT_F_GRID,
     GROUP_THRESHOLDS,
@@ -23,7 +23,7 @@ from wafersense.evaluate import (
     write_sweep_csv,
 )
 
-LIMITS = ControlLimits(lcl=0.0, ucl=10.0, source=LimitSource.LCL_UCL)
+LIMITS = ControlLimits(lcl=0.0, ucl=10.0, source="LCL_UCL")
 
 
 class TestRelativeError:
@@ -120,26 +120,26 @@ class TestGroupingReport:
             grouping_report([], [])
 
 
-def label_fail(passfail: PassFail, inspection: Inspection, value: float) -> bool:
-    return label_fail_arrays(np.array([passfail.value]), np.array([inspection.value]),
+def label_fail(passfail: str, inspection: str, value: float) -> bool:
+    return label_fail_arrays(np.array([passfail]), np.array([inspection]),
                              np.array([value]), LIMITS.lcl, LIMITS.ucl).item()
 
 
 class TestLabelFailWafer:
     def test_all_three_conditions_met(self):
-        assert label_fail(PassFail.FAIL_AVG_HI, Inspection.REWORK, 12.0) is True
+        assert label_fail("FAIL_AVG_HI", "REWORK", 12.0) is True
 
     def test_missing_inspection_blocks(self):
-        assert label_fail(PassFail.FAIL_AVG_HI, Inspection.NONE, 12.0) is False
+        assert label_fail("FAIL_AVG_HI", "NONE", 12.0) is False
 
     def test_pass_label_blocks_even_with_scrap(self):
-        assert label_fail(PassFail.PASS, Inspection.SCRAP, 5.0) is False
+        assert label_fail("PASS", "SCRAP", 5.0) is False
 
     def test_inside_limits_blocks(self):
-        assert label_fail(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, 5.0) is False
+        assert label_fail("FAIL_AVG_LOW", "SCRAP", 5.0) is False
 
     def test_below_lcl_counts(self):
-        assert label_fail(PassFail.FAIL_AVG_LOW, Inspection.SCRAP, -2.0) is True
+        assert label_fail("FAIL_AVG_LOW", "SCRAP", -2.0) is True
 
 
 def predict_fail(y_hat: float, b1_star: float, b2_star: float, f: float) -> bool:
@@ -166,7 +166,7 @@ class TestPredictFail:
     def test_invalid_predicates_rejected(self):
         # b1* < b2* holds for every resolved limit pair, f in [0, 0.5) for every f grid
         with pytest.raises(DomainError):
-            ControlLimits(5.0, 5.0, LimitSource.LCL_UCL)
+            ControlLimits(5.0, 5.0, "LCL_UCL")
         with pytest.raises(ConfigError):
             RunConfig().f_grid("0.1,0.5")
 

@@ -209,6 +209,14 @@ class TestMetrology:
         table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,,PASS,NONE,,")
         assert len(ingest.parse_metrology_table(table)) == 0
 
+    def test_unknown_labels_map_to_other(self, tmp_path):
+        table = metrology(tmp_path, "P1,W1,KQI-1,T,S,E,R,1.0,FAIL_WEIRD,SOMETHING,,",
+                          "P1,W2,KQI-1,T,S,E,R,1.0,,,,",
+                          "P1,W3,KQI-1,T,S,E,R,1.0,FAIL_AVG_LOW,SCRAP,,")
+        records = ingest.parse_metrology_table(table)
+        assert records.passfail.tolist() == ["OTHER", "OTHER", "FAIL_AVG_LOW"]
+        assert records.inspection.tolist() == ["OTHER", "NONE", "SCRAP"]
+
 
 class TestSensorParsing:
     def test_steps_sorted_and_missing_preserved(self, tmp_path):

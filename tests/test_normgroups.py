@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wafersense.domain import LimitSource
 from wafersense.normgroups import (
     NormalizationGroup,
     build_groups,
     denormalize,
     group_bounds,
     normalize_target,
-    read_groups_csv,
     resolve_control_limits,
-    write_groups_csv,
 )
+from wafersense.preprocess import read_groups_csv, write_groups_csv
 
 from conftest import measurement_table
 
@@ -36,10 +34,10 @@ FALLBACK = {("K", "T", "S"): (0.0, 10.0)}
 
 class TestResolve:
     def test_targ_preferred_over_fallback(self):
-        assert resolve(meas(targ=(2.0, 8.0)), FALLBACK) == (2.0, 8.0, LimitSource.TARG)
+        assert resolve(meas(targ=(2.0, 8.0)), FALLBACK) == (2.0, 8.0, "TARG")
 
     def test_fallback_used_when_targ_missing(self):
-        assert resolve(meas(), FALLBACK) == (0.0, 10.0, LimitSource.LCL_UCL)
+        assert resolve(meas(), FALLBACK) == (0.0, 10.0, "LCL_UCL")
 
     def test_none_when_both_missing(self):
         lcl, ucl, source = resolve(meas(), {})
@@ -47,7 +45,7 @@ class TestResolve:
 
     def test_partial_targ_pair_falls_back(self):
         m = dict(meas(), targ_min=2.0)
-        assert resolve(m, FALLBACK)[2] == LimitSource.LCL_UCL
+        assert resolve(m, FALLBACK)[2] == "LCL_UCL"
 
 
 class TestBuildGroups:

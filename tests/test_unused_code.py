@@ -1,4 +1,5 @@
-"""Every public function, class, method and property of the package has a caller.
+"""Every public function, class, method, property and module-level constant of
+the package has a caller or reader.
 
 A name counts as used when code under src/ refers to it outside its own
 definition, or when the acceptance suite or the benchmark under perfbench/
@@ -38,12 +39,24 @@ def _references(node: ast.AST, imports: bool = False, strings: bool = False,
     return refs
 
 
+def _assigned_names(node: ast.AST) -> list[str]:
+    """The names a module-level assignment binds, tuple targets included."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
 def _public_definitions(trees: dict[Path, ast.Module]):
-    """(file, qualified name, node) of each public module-level function and
-    class, and of each public method and property of those classes."""
+    """(file, qualified name, node) of each public module-level function, class
+    and assigned name (its node the assignment), and of each public method and
+    property of those classes."""
     for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in _assigned_names(node):
+                    if not name.startswith("_"):
+                        yield path, name, node
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not node.name.startswith("_"):
                 yield path, node.name, node
                 if isinstance(node, ast.ClassDef):
@@ -71,7 +84,8 @@ def test_every_public_name_is_used_outside_unit_tests():
     for path, qualified, node in _public_definitions(trees):
         names = "." not in qualified
         in_src, outside = uses[names]
-        own = _references(node, names=names)[node.name]
-        if in_src[node.name] - own <= 0 and not outside[node.name]:
+        name = qualified.rpartition(".")[2]
+        own = _references(node, names=names)[name]
+        if in_src[name] - own <= 0 and not outside[name]:
             unused.append(f"{path.name}:{node.lineno} {qualified}")
     assert not unused, "referenced only by unit tests, or nowhere: " + ", ".join(unused)
