@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atomic import atomic_open, open_npz
+from .atomic import atomic_open, read_npz
 
-GATES = ("i", "f", "g", "o")      # order of the per-gate names and checkpoint arrays
+GATES = ("i", "f", "g", "o")      # order of the per-gate names
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
 PRESETS = {"small": (128, 256), "large": (1024, 2048)}  # name -> (d, mlp_hidden); first is default
 
@@ -162,7 +162,7 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     """Run the model on a batch of same-length step sequences.
 
     steps has shape (B, n, S), meas (B, M). Returns (predictions (B,),
-    trace or None).
+    trace or None); without a trace, ``encode`` runs the LSTM.
     """
     p, cfg = params, params.cfg
     steps = np.asarray(steps, dtype=p.dtype)
@@ -172,9 +172,11 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     if meas.ndim != 2 or meas.shape[1] != cfg.meas_dim or meas.shape[0] != steps.shape[0]:
         raise ValueError(f"meas must be ({steps.shape[0]}, {cfg.meas_dim}), got {meas.shape}")
     batch, n_steps, d = steps.shape[0], steps.shape[1], cfg.d
+    steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
+    if not want_trace:
+        return mlp_head(p, encode(p, steps), meas)[-1], None
 
     # embedding and input pre-activations of every step, before the recurrence
-    steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
     x = np.matmul(p.emb_w, steps)
     x += p.emb_b[:, None]
     gates = np.matmul(p.wx, x)
@@ -187,26 +189,54 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
         a = gates[t]
         if t:  # h_0 = 0
             a += np.matmul(p.wh, h[t], out=recurrent)
-        sig = a[:3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
-        np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
-        sig += 1.0
-        sig *= 0.5
-        np.tanh(a[3 * d:], out=a[3 * d:])
-        i, f, o, g = (a[k * d:(k + 1) * d] for k in range(4))
+        i, f, o, g = activate_gates(a, d)
         np.multiply(f, c[t], out=c[t + 1])
         c[t + 1] += i * g
         np.tanh(c[t + 1], out=tanh_c[t])
         if t + 1 < n_steps:  # h_n is unused
             np.multiply(o, tanh_c[t], out=h[t + 1])
 
-    z0 = np.concatenate([c[n_steps], meas.T])  # encoded vector is the last cell state
+    z0, z1, z2, preds = mlp_head(p, c[n_steps], meas)  # encoded vector is the last cell state
+    return preds, ForwardTrace(steps=steps, x=x, gates=gates, c=c, h=h, tanh_c=tanh_c,
+                               z0=z0, z1=z1, z2=z2)
+
+
+def activate_gates(a: np.ndarray, d: int):
+    """Views of the i, f, o, g blocks of the (4d, B) pre-activations ``a``, activated in place."""
+    sig = a[:3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
+    np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
+    sig += 1.0
+    sig *= 0.5
+    np.tanh(a[3 * d:], out=a[3 * d:])
+    return (a[k * d:(k + 1) * d] for k in range(4))
+
+
+def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
+    """The last cell state (d, B) of the contiguous (n, S, B) ``steps``, untraced: the
+    embedding folded into the gate input weights, one live (4d, B) gate block, c and h."""
+    d, (n_steps, _, batch) = p.cfg.d, steps.shape
+    w_in, b_in = p.wx @ p.emb_w, (p.wx @ p.emb_b + p.b)[:, None]
+    a, recurrent = (np.empty((4 * d, batch), dtype=p.dtype) for _ in range(2))
+    c, h = np.zeros((d, batch), dtype=p.dtype), np.empty((d, batch), dtype=p.dtype)
+    for t in range(n_steps):
+        np.matmul(w_in, steps[t], out=a)
+        a += b_in
+        if t:  # h_0 = 0
+            a += np.matmul(p.wh, h, out=recurrent)
+        i, f, o, g = activate_gates(a, d)
+        c *= f
+        c += i * g
+        if t + 1 < n_steps:  # h_n is unused
+            np.multiply(o, np.tanh(c, out=h), out=h)
+    return c
+
+
+def mlp_head(p: ModelParams, c_n: np.ndarray, meas: np.ndarray):
+    """(z0, z1, z2, predictions) of the MLP on the encoded vector and ``meas``."""
+    z0 = np.concatenate([c_n, meas.T])
     z1 = np.maximum(p.mlp1_w @ z0 + p.mlp1_b[:, None], 0.0)
     z2 = np.maximum(p.mlp2_w @ z1 + p.mlp2_b[:, None], 0.0)
-    preds = p.out_w @ z2 + p.out_b[0]
-
-    trace = ForwardTrace(steps=steps, x=x, gates=gates, c=c, h=h, tanh_c=tanh_c,
-                         z0=z0, z1=z1, z2=z2) if want_trace else None
-    return preds, trace
+    return z0, z1, z2, p.out_w @ z2 + p.out_b[0]
 
 
 def forward(params: ModelParams, steps: np.ndarray, meas: np.ndarray):
@@ -276,33 +306,28 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: float) -> Model
     return backward_batch(params, trace, np.array([upstream]))
 
 
-# Checkpoint container: a .npz holding every weight array plus a JSON
-# metadata entry (architecture, loss type, preprocessing manifest hash, ...).
+# Checkpoint container: a .npz holding the ``flat`` weight vector plus a JSON
+# metadata entry (architecture, dtype, loss type, preprocessing manifest hash, ...).
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     header = dict(meta, arch=asdict(params.cfg), dtype=np.dtype(params.dtype).name)
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(header, sort_keys=True)),
-                 **dict(params.arrays()))
+        np.savez(fh, __meta__=np.array(json.dumps(header, sort_keys=True)), flat=params.flat)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; a damaged file or a wrongly shaped array raises CheckpointError."""
-    with open_npz(path, CheckpointError, "checkpoint") as data:
+    """Read a checkpoint; a damaged file, a dtype other than float32 or float64, or a
+    ``flat`` vector that does not fit the architecture raises CheckpointError."""
+    data = read_npz(path, CheckpointError, "checkpoint", ("__meta__", "flat"))
+    try:
         meta = json.loads(str(data["__meta__"]))
-        cfg = ArchConfig(**meta.pop("arch"))
-        params = ModelParams(cfg, np.empty(param_count(cfg), np.dtype(meta.pop("dtype"))))
-        problems = [f"unexpected array {name!r}" for name in data.files
-                    if name not in params.names + ("__meta__",)]
-        for name, view in params.arrays():
-            stored = data[name] if name in data.files else None
-            if stored is not None and stored.shape == view.shape:
-                view[...] = stored
-            else:
-                problems.append(f"missing array {name!r}" if stored is None else
-                                f"array {name!r} has shape {stored.shape}, "
-                                f"expected {view.shape}")
-    if problems:
-        raise CheckpointError(f"checkpoint {path} does not match its architecture: "
-                              + "; ".join(problems))
-    return params, meta
+        cfg, dtype = ArchConfig(**meta.pop("arch")), meta.pop("dtype")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} is unreadable: bad __meta__: {exc}") from None
+    if dtype not in ("float32", "float64"):
+        raise CheckpointError(f"checkpoint {path} has dtype {dtype!r}, not float32 or float64")
+    flat, want = data["flat"], (dtype, (param_count(cfg),))
+    if (flat.dtype, flat.shape) != want:
+        raise CheckpointError(f"checkpoint {path} does not match its architecture: array "
+                              f"'flat' is {(flat.dtype.name, flat.shape)}, expected {want}")
+    return ModelParams(cfg, flat), meta

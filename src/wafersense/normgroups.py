@@ -94,6 +94,7 @@ def denormalize(y_tilde, g: NormalizationGroup | GroupBounds):
 
 
 def group_bounds(groups: dict[GroupKey, NormalizationGroup], kqi, mtype, stage) -> GroupBounds:
-    """The bounds of the keys (kqi[i], mtype[i], stage[i])."""
+    """The bounds of the keys (kqi[i], mtype[i], stage[i]) of three str arrays, looked
+    up as Python str: hashing one numpy str_ per row costs four times as much."""
     return GroupBounds(*lookup_pairs({key: (g.b1, g.b2) for key, g in groups.items()},
-                                     zip(kqi, mtype, stage)).T)
+                                     zip(kqi.tolist(), mtype.tolist(), stage.tolist())).T)

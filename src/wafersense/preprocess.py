@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open, open_npz
+from .atomic import atomic_open, read_npz
 from .domain import (DATETIME_FEATURES, MeasurementRecord, MeasurementTable, SensorTable,
                      WaferRecord, WaferTable)
 from .normgroups import GroupKey, NormalizationGroup, resolve_control_limits
@@ -361,8 +361,8 @@ def save_bucket(path: Path, bucket: Bucket) -> None:
 
 
 def load_bucket(path: Path) -> Bucket:
-    with open_npz(path, PreprocessError, "bucket file") as data:
-        return Bucket(n_steps=int(data["n_steps"]), **{k: data[k] for k in BUCKET_ARRAY_KEYS})
+    data = read_npz(path, PreprocessError, "bucket file", ("n_steps",) + BUCKET_ARRAY_KEYS)
+    return Bucket(n_steps=int(data.pop("n_steps")), **data)
 
 
 def load_split(features_dir: Path, stream: str, split: str) -> list[Bucket]:

@@ -537,16 +537,16 @@ class TestEvaluate:
         assert sum(int(r[1]) for r in rows[1:7]) > 0
 
 
-def reshaped_wh_g(path: Path) -> None:
+def shortened_flat(path: Path) -> None:
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    arrays["wh_g"] = np.zeros((3, arrays["wh_g"].shape[1]), arrays["wh_g"].dtype)
+    arrays["flat"] = arrays["flat"][:-1]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 @pytest.mark.parametrize("name, damage, message", [
-    ("model.npz", reshaped_wh_g, "does not match its architecture"),
+    ("model.npz", shortened_flat, "does not match its architecture"),
     ("model.npz", lambda path: path.write_bytes(path.read_bytes()[:2000]), "is unreadable"),
     ("model.npz", lambda path: path.write_bytes(b"not a checkpoint\n" * 50),
      "is not an .npz file"),

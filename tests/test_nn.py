@@ -4,6 +4,8 @@ import pytest
 from wafersense.nn import (
     FUSED_GATES,
     ArchConfig,
+    CheckpointError,
+    ModelParams,
     backward,
     backward_batch,
     forward,
@@ -136,6 +138,23 @@ class TestForward:
         singles = [forward(params, steps[i], meas[i])[0] for i in range(10)]
         assert np.max(np.abs(batched - np.array(singles))) <= 1e-12
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("batch", [1, 16, 513])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_inference_path_matches_traced_forward(self, n, batch, dtype, rtol):
+        # the folded embedding sums in another order; predictions are O(1), so the
+        # same figure bounds the absolute error of a prediction near zero
+        params = tiny_params(n, dtype=dtype)
+        features = np.random.default_rng(60 + n).normal(size=(batch, n * 6 + 3))
+        steps, meas = features[:, :n * 6].reshape(batch, n, 6), features[:, n * 6:]
+        traced, _ = forward_batch(params, steps, meas)
+        lean, trace = forward_batch(params, steps, meas, want_trace=False)
+        assert trace is None and lean.dtype == dtype and lean.shape == (batch,)
+        np.testing.assert_allclose(lean, traced, rtol=rtol, atol=rtol)
+        # strided views of one feature matrix predict exactly as contiguous copies
+        copied, _ = forward_batch(params, steps.copy(), meas.copy(), want_trace=False)
+        assert np.array_equal(lean, copied)
+
     def test_cell_state_bounded_by_step_count(self):
         # |c_t| grows by at most 1 per step regardless of weight scale
         params = tiny_params(5)
@@ -234,24 +253,36 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda arrays: arrays.pop("wh_g"), "missing array 'wh_g'"),
+        (lambda arrays: arrays.pop("flat"), "missing array 'flat'"),
         (lambda arrays: arrays.update(stray=np.zeros(3, np.float32)),
          "unexpected array 'stray'"),
-        (lambda arrays: arrays.update(mlp1_b=np.zeros(1, np.float32)),
-         r"array 'mlp1_b' has shape \(1,\), expected \(5,\)"),
-        (lambda arrays: arrays.update(emb_w=arrays["emb_w"].T.copy()),
-         r"array 'emb_w' has shape \(6, 4\), expected \(4, 6\)"),
-    ])
-    def test_wrong_arrays_rejected_by_name(self, tmp_path, change, message):
+        (lambda arrays: arrays.update(flat=arrays["flat"][:-1]),
+         r"does not match its architecture: array 'flat' is \('float64', \(247,\)\), "
+         r"expected \('float64', \(248,\)\)"),
+        (lambda arrays: arrays.update(flat=arrays["flat"].astype(np.float32)),
+         r"array 'flat' is \('float32', \(248,\)\), expected \('float64', \(248,\)\)"),
+        (lambda arrays: arrays.update(__meta__=np.array(
+            str(arrays["__meta__"]).replace('"float64"', '"int8"'))),
+         "has dtype 'int8', not float32 or float64"),
+        (lambda arrays: arrays.update(__meta__=np.array(
+            str(arrays["__meta__"]).replace('"float64"', '"<U5"')),
+            flat=arrays["flat"].astype("<U5")),
+         "has dtype '<U5', not float32 or float64"),
+        (lambda arrays: arrays.update(ModelParams(TINY, arrays.pop("flat")).arrays()),
+         "missing array 'flat'; unexpected array 'emb_w'"),  # the older per-name format
+    ], ids=["missing_flat", "stray_array", "flat_wrong_size", "flat_dtype_disagrees_with_meta",
+            "meta_dtype_int8", "meta_dtype_str", "per_name_arrays"])
+    def test_damaged_checkpoint_rejected_naming_file(self, tmp_path, change, message):
         path = tmp_path / "model.npz"
-        save_checkpoint(path, init_params(TINY, seed=5), {"loss": "re"})
+        save_checkpoint(path, init_params(TINY, seed=5, dtype=np.float64), {"loss": "re"})
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         change(arrays)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(CheckpointError, match=message) as excinfo:
             load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
 
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.npz"
