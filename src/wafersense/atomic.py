@@ -3,12 +3,11 @@ checked reader of the .npz files written that way."""
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import re
 import secrets
 import struct
-import zipfile
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,12 +41,9 @@ def read_npz(path, error: type[Exception], what: str, names) -> dict[str, np.nda
     buf = Path(path).read_bytes()
     if not buf.startswith(b"PK\x03\x04"):  # the start of every zip archive np.savez writes
         raise error(f"{what} {path} is not an .npz file")
-    fp = io.BytesIO(buf)
     try:
-        with zipfile.ZipFile(fp) as archive:
-            arrays = {info.filename.removesuffix(".npy"): _stored_array(buf, fp, info)
-                      for info in archive.infolist()}
-    except (ValueError, struct.error, zipfile.BadZipFile) as exc:
+        arrays = dict(_members(buf))
+    except (ValueError, struct.error) as exc:
         raise error(f"{what} {path} is unreadable: {exc}") from None
     problems = [f"missing array {name!r}" for name in names if name not in arrays] + [
         f"unexpected array {name!r}" for name in arrays if name not in names]
@@ -56,25 +52,55 @@ def read_npz(path, error: type[Exception], what: str, names) -> dict[str, np.nda
     return arrays
 
 
-def _stored_array(buf: bytes, fp: io.BytesIO, info: zipfile.ZipInfo) -> np.ndarray:
-    """A fresh aligned copy of the array in the stored member ``info`` of ``buf`` (open
-    as ``fp``), CRC-checked; numpy's header reader, with its size cap, parses it."""
-    member = f"member {info.filename!r}"
-    if info.compress_type != zipfile.ZIP_STORED:
+_END = struct.Struct("<4s4xHHIIH")          # zip end of central directory record
+_ENTRY = struct.Struct("<4s6xH4xIIIHHH8xI")  # zip central directory file header
+# the .npy v1.0 header np.savez writes: sorted keys, the shape's repr, spaces, a newline
+_NPY_HEADER = re.compile(rb"(?s)\x93NUMPY\x01\x00..\{'descr': '([<>|][a-zA-Z]\d*)', "
+                         rb"'fortran_order': (False|True), "
+                         rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
+
+
+def _members(buf: bytes):
+    """Yield (name without ``.npy``, array) for each member that the central directory
+    of the zip archive ``buf`` lists; its end record, with no comment, ends ``buf``."""
+    end = len(buf) - _END.size
+    sig, on_disk, count, dir_size, offset, comment_len = _END.unpack_from(buf, end)
+    if sig != b"PK\x05\x06" or comment_len or on_disk != count or offset + dir_size != end:
+        raise ValueError("the file does not end with its zip directory's end record")
+    for _ in range(count):
+        sig, method, crc, _, size, name_len, extra_len, comment_len, header_offset = \
+            _ENTRY.unpack_from(buf, offset)
+        if sig != b"PK\x01\x02":
+            raise ValueError("its zip directory is damaged")
+        name = buf[offset + _ENTRY.size:offset + _ENTRY.size + name_len].decode()
+        offset += _ENTRY.size + name_len + extra_len + comment_len
+        yield name.removesuffix(".npy"), _stored_array(buf, name, method, crc, size, header_offset)
+
+
+def _stored_array(buf: bytes, name: str, method: int, crc: int, size: int,
+                  header_offset: int) -> np.ndarray:
+    """A fresh aligned copy of the array in the stored member ``name`` of ``buf``, whose
+    local header starts at ``header_offset``: CRC-checked, and refused unless its .npy
+    header is the canonical v1.0 one that ``_NPY_HEADER`` matches."""
+    member = f"member {name!r}"
+    if method != 0:  # ZIP_STORED
         raise ValueError(f"{member} is stored compressed")
-    sig, name_len, extra_len = struct.unpack_from("<4s22xHH", buf, info.header_offset)
-    start = info.header_offset + 30 + name_len + extra_len
-    end = start + info.file_size
-    if sig != b"PK\x03\x04" or end > len(buf) or zlib.crc32(memoryview(buf)[start:end]) != info.CRC:
+    sig, name_len, extra_len = struct.unpack_from("<4s22xHH", buf, header_offset)
+    start = header_offset + 30 + name_len + extra_len
+    end = start + size
+    if sig != b"PK\x03\x04" or end > len(buf) or zlib.crc32(memoryview(buf)[start:end]) != crc:
         raise ValueError(f"{member} fails its CRC-32 check")
-    fp.seek(start)
-    version = np.lib.format.read_magic(fp)
-    if version not in ((1, 0), (2, 0)):
-        raise ValueError(f"{member} has .npy format version {version}")
-    shape, fortran_order, dtype = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                                   else np.lib.format.read_array_header_2_0)(fp)
+    data = start + 10 + struct.unpack_from("<H", buf, start + 8)[0]  # magic, version, length
+    header = _NPY_HEADER.fullmatch(buf, start, data)
+    if header is None:
+        raise ValueError(f"{member} has no canonical .npy v1.0 header")
+    try:
+        dtype = np.dtype(header[1].decode())
+    except TypeError:
+        raise ValueError(f"{member} has .npy dtype {header[1]!r}") from None
+    shape = tuple(int(side) for side in header[3].split(b",") if side)
     count = math.prod(shape)
-    if dtype.hasobject or fp.tell() + count * dtype.itemsize != end:
+    if dtype.hasobject or data + count * dtype.itemsize != end:
         raise ValueError(f"{member} holds objects or does not fit its header {shape} {dtype}")
-    return np.frombuffer(buf, dtype, count, fp.tell()).reshape(
-        shape, order="F" if fortran_order else "C").copy(order="K")
+    return np.frombuffer(buf, dtype, count, data).reshape(
+        shape, order="F" if header[2] == b"True" else "C").copy(order="K")

@@ -71,7 +71,7 @@ def param_count(cfg: ArchConfig) -> int:
 
 
 def param_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every named weight, in checkpoint (and ``names``) order."""
+    """Name -> shape of every named weight, in ``names`` (and ``init_params``' draw) order."""
     s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
     shapes = {"emb_w": (d, s), "emb_b": (d,)}
     for gate in GATES:
@@ -172,9 +172,9 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     if meas.ndim != 2 or meas.shape[1] != cfg.meas_dim or meas.shape[0] != steps.shape[0]:
         raise ValueError(f"meas must be ({steps.shape[0]}, {cfg.meas_dim}), got {meas.shape}")
     batch, n_steps, d = steps.shape[0], steps.shape[1], cfg.d
-    steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
     if not want_trace:
         return mlp_head(p, encode(p, steps), meas)[-1], None
+    steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
 
     # embedding and input pre-activations of every step, before the recurrence
     x = np.matmul(p.emb_w, steps)
@@ -212,15 +212,17 @@ def activate_gates(a: np.ndarray, d: int):
 
 
 def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
-    """The last cell state (d, B) of the contiguous (n, S, B) ``steps``, untraced: the
-    embedding folded into the gate input weights, one live (4d, B) gate block, c and h."""
-    d, (n_steps, _, batch) = p.cfg.d, steps.shape
-    w_in, b_in = p.wx @ p.emb_w, (p.wx @ p.emb_b + p.b)[:, None]
+    """The last cell state (d, B) of the (B, n, S) ``steps``, untraced: the embedding and
+    the input biases folded into one (4d, S + 1) weight that multiplies each step's
+    inputs with a ones row below them, one live (4d, B) gate block, c and h."""
+    d, (batch, n_steps, s) = p.cfg.d, steps.shape
+    w_in = np.concatenate([p.wx @ p.emb_w, (p.wx @ p.emb_b + p.b)[:, None]], axis=1)
+    x = np.ones((n_steps, s + 1, batch), dtype=p.dtype)
+    x[:, :s] = steps.transpose(1, 2, 0)
     a, recurrent = (np.empty((4 * d, batch), dtype=p.dtype) for _ in range(2))
     c, h = np.zeros((d, batch), dtype=p.dtype), np.empty((d, batch), dtype=p.dtype)
     for t in range(n_steps):
-        np.matmul(w_in, steps[t], out=a)
-        a += b_in
+        np.matmul(w_in, x[t], out=a)
         if t:  # h_0 = 0
             a += np.matmul(p.wh, h, out=recurrent)
         i, f, o, g = activate_gates(a, d)
@@ -234,8 +236,11 @@ def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
 def mlp_head(p: ModelParams, c_n: np.ndarray, meas: np.ndarray):
     """(z0, z1, z2, predictions) of the MLP on the encoded vector and ``meas``."""
     z0 = np.concatenate([c_n, meas.T])
-    z1 = np.maximum(p.mlp1_w @ z0 + p.mlp1_b[:, None], 0.0)
-    z2 = np.maximum(p.mlp2_w @ z1 + p.mlp2_b[:, None], 0.0)
+    z1 = p.mlp1_w @ z0
+    z1 += p.mlp1_b[:, None]
+    z2 = p.mlp2_w @ np.maximum(z1, 0.0, out=z1)
+    z2 += p.mlp2_b[:, None]
+    np.maximum(z2, 0.0, out=z2)
     return z0, z1, z2, p.out_w @ z2 + p.out_b[0]
 
 

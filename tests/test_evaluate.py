@@ -16,12 +16,15 @@ from wafersense.evaluate import (
     grade_errors,
     grouping_report,
     label_fail_arrays,
+    predict_bucket,
     predict_fail_arrays,
     recall_fpr_sweep,
     relative_error,
     write_grouping_csv,
     write_sweep_csv,
 )
+from wafersense.nn import ArchConfig, forward_batch, init_params
+from wafersense.preprocess import BUCKET_ARRAY_KEYS, Bucket
 
 LIMITS = ControlLimits(lcl=0.0, ucl=10.0, source="LCL_UCL")
 
@@ -255,6 +258,22 @@ class TestDenormalizeBucket:
         y_hat, keep = denormalize_bucket(np.array([0.5, 0.5]), bucket, groups)
         assert keep.tolist() == [True, False]
         assert y_hat[0] == 15.0
+
+
+def test_predict_bucket_equals_untraced_forward_over_512_row_chunks():
+    # the benchmark's score check recomputes the bands this way and compares counts exactly
+    s, m, n_steps, rows = 4, 3, 3, 1100
+    params = init_params(ArchConfig(sensor_dim=s, meas_dim=m, d=8, mlp_hidden=6), seed=5)
+    features = np.random.default_rng(0).normal(size=(rows, n_steps * s + m)).astype(np.float32)
+    strings = np.full(rows, "x")
+    bucket = Bucket(n_steps=n_steps, features=features, target=np.zeros(rows),
+                    lcl=np.zeros(rows), ucl=np.ones(rows),
+                    **{key: strings for key in BUCKET_ARRAY_KEYS if key not in
+                       ("features", "target", "lcl", "ucl")})
+    steps, meas = features[:, :n_steps * s].reshape(rows, n_steps, s), features[:, n_steps * s:]
+    want = np.concatenate([forward_batch(params, steps[sl], meas[sl], want_trace=False)[0]
+                           for sl in (slice(0, 512), slice(512, 1024), slice(1024, rows))])
+    assert np.array_equal(predict_bucket(params, bucket, s, m), want)
 
 
 def test_report_text_includes_diagnostics_lines():
