@@ -408,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output data directory")
     p.add_argument("--seed", type=int, help="override [synth] seed")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate.__name__)
 
     p = sub.add_parser("preprocess", help="fit transforms and write feature buckets")
     p.add_argument("--config", required=True)
     p.add_argument("--data", help="directory with sensor/metrology/limits CSVs")
     p.add_argument("--out", help="output features directory")
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess.__name__)
 
     p = sub.add_parser("train", help="train a model on preprocessed features")
     p.add_argument("--config", required=True)
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=list(PRESETS), help="override [arch] preset")
     p.add_argument("--filter", help="train on one subset, e.g. kqi=KQI-1,type=TYPE-1")
     p.add_argument("--seed", type=int, help="override [train] seed")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train.__name__)
 
     for name, help_text, sweep_only in (
             ("evaluate", "grade predictions and run the pass/fail sweep", False),
@@ -437,17 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report directory")
         p.add_argument("--f-grid", help="comma-separated f values")
         p.add_argument("--test-filter", help="evaluate one subset, e.g. kqi=KQI-1,type=TYPE-1")
-        p.set_defaults(func=cmd_evaluate, sweep_only=sweep_only)
+        p.set_defaults(func=cmd_evaluate.__name__, sweep_only=sweep_only)
     return parser
+
+
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # looked up per call, so a replaced cmd_* runs
     except (ConfigError, ingest.IngestError, preprocess.PreprocessError, CheckpointError,
             TrainingDiverged, ev.EvaluationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

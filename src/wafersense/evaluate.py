@@ -103,7 +103,10 @@ def predict_fail_arrays(y_hat, b1_star, b2_star, f: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
+class SweepRow:
+    """Confusion counts of the fail screen at one f."""
+
+    f: float
     tp: int
     fn: int
     fp: int
@@ -124,20 +127,6 @@ class ConfusionCounts:
         return self.fp / (self.fp + self.tn)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    f: float
-    counts: ConfusionCounts
-
-    @property
-    def recall(self) -> float:
-        return self.counts.recall
-
-    @property
-    def fpr(self) -> float:
-        return self.counts.fpr
-
-
 def recall_fpr_sweep(y_hat, truth_fail, b1_star, b2_star, f_values) -> list[SweepRow]:
     """Confusion counts of the shrinking-interval screen at each f, sorted by f."""
     y_hat = np.asarray(y_hat, dtype=float)
@@ -145,12 +134,13 @@ def recall_fpr_sweep(y_hat, truth_fail, b1_star, b2_star, f_values) -> list[Swee
     rows = []
     for f in sorted(f_values):
         predicted = predict_fail_arrays(y_hat, np.asarray(b1_star), np.asarray(b2_star), f)
-        rows.append(SweepRow(f=f, counts=ConfusionCounts(
+        rows.append(SweepRow(
+            f=f,
             tp=int(np.sum(predicted & truth)),
             fn=int(np.sum(~predicted & truth)),
             fp=int(np.sum(predicted & ~truth)),
             tn=int(np.sum(~predicted & ~truth)),
-        )))
+        ))
     return rows
 
 
@@ -196,9 +186,8 @@ def write_sweep_csv(path, rows: list[SweepRow], with_counts: bool = True) -> Non
         if with_counts:
             writer.writerow(["f", "recall", "fpr", "tp", "fn", "fp", "tn"])
             for row in rows:
-                c = row.counts
                 writer.writerow([repr(row.f), repr(row.recall), repr(row.fpr),
-                                 c.tp, c.fn, c.fp, c.tn])
+                                 row.tp, row.fn, row.fp, row.tn])
         else:
             writer.writerow(["f", "recall", "fpr"])
             for row in rows:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .atomic import atomic_open, read_npz
 
-GATES = ("i", "f", "g", "o")      # order of the per-gate names
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
 PRESETS = {"small": (128, 256), "large": (1024, 2048)}  # name -> (d, mlp_hidden); first is default
 
@@ -64,58 +63,46 @@ class ArchConfig:
         return cls(sensor_dim, meas_dim, d=d, mlp_hidden=mlp_hidden)
 
 
-def param_count(cfg: ArchConfig) -> int:
-    """Closed-form parameter count of the architecture."""
-    s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
-    return (s + 1) * d + 4 * (d * d + d * d + d) + (d + m + 1) * h + (h + 1) * h + (h + 1)
-
-
 def param_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every named weight, in ``names`` (and ``init_params``' draw) order."""
+    """Name -> shape of every weight block, in ``flat`` order."""
     s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
-    shapes = {"emb_w": (d, s), "emb_b": (d,)}
-    for gate in GATES:
-        shapes.update({f"wx_{gate}": (d, d), f"wh_{gate}": (d, d), f"b_{gate}": (d,)})
-    shapes.update(mlp1_w=(h, d + m), mlp1_b=(h,), mlp2_w=(h, h), mlp2_b=(h,),
-                  out_w=(h,), out_b=(1,))
-    return shapes
+    return {"emb_w": (d, s), "emb_b": (d,), "wx": (4 * d, d), "wh": (4 * d, d), "b": (4 * d,),
+            "mlp1_w": (h, d + m), "mlp1_b": (h,), "mlp2_w": (h, h), "mlp2_b": (h,),
+            "out_w": (h,), "out_b": (1,)}
+
+
+def param_count(cfg: ArchConfig) -> int:
+    """The number of weights: the size of ``flat``."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
 class ModelParams:
     """All weights in one contiguous 1-D vector ``flat``.
 
-    ``flat`` holds, in order: emb_w (d, S), emb_b (d,), the fused LSTM
-    blocks wx (4d, d), wh (4d, d) and b (4d,), then the MLP (d+M) -> H ->
-    H -> 1. Matrices are (out, in) in row-major order, and each fused block
-    stacks the gates in ``FUSED_GATES`` order, so the three sigmoid gates
-    are adjacent. Every named weight of ``param_shapes`` (wx_i, b_f, ...) is
-    an attribute holding a view into ``flat``.
+    Each block of ``param_shapes`` is an attribute holding a view into
+    ``flat``: the embedding (d, S), the fused LSTM blocks wx (4d, d), wh
+    (4d, d) and b (4d,), then the MLP (d+M) -> H -> H -> 1. Matrices are
+    (out, in) in row-major order, and each fused block stacks the gates in
+    ``FUSED_GATES`` order, so the three sigmoid gates are adjacent.
     """
 
     def __init__(self, cfg: ArchConfig, flat: np.ndarray):
-        shapes, d = param_shapes(cfg), cfg.d
-        blocks = {"emb_w": shapes["emb_w"], "emb_b": shapes["emb_b"],
-                  "wx": (4 * d, d), "wh": (4 * d, d), "b": (4 * d,)}
-        blocks.update((name, shape) for name, shape in shapes.items()
-                      if name.startswith(("mlp", "out")))
+        shapes = param_shapes(cfg)
         self.cfg, self.flat, self.names = cfg, flat, tuple(shapes)
         offset = 0
-        for name, shape in blocks.items():
+        for name, shape in shapes.items():
             size = math.prod(shape)
             setattr(self, name, flat[offset:offset + size].reshape(shape))
             offset += size
         if flat.shape != (offset,):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {cfg}")
-        for k, gate in enumerate(FUSED_GATES):
-            for block in ("wx", "wh", "b"):
-                setattr(self, f"{block}_{gate}", getattr(self, block)[k * d:(k + 1) * d])
 
     @property
     def dtype(self) -> np.dtype:
         return self.flat.dtype
 
     def arrays(self):
-        """Yield (name, view) for every named weight, in ``names`` order."""
+        """Yield (name, view) for every block, in ``names`` order."""
         for name in self.names:
             yield name, getattr(self, name)
 
@@ -129,17 +116,19 @@ class ModelParams:
 def init_params(cfg: ArchConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per weight matrix.
 
-    Biases start at zero except the forget gate bias, which starts at 1.
+    Biases start at zero except the forget gate bias, which starts at 1. The
+    LSTM rows are drawn gate by gate in i, f, g, o order, wx's before wh's.
     Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
-    params = ModelParams(cfg, np.zeros(param_count(cfg), dtype=dtype))
-    for name, arr in params.arrays():
-        if not (name.startswith("b_") or name.endswith("_b")):
-            bound = 1.0 / np.sqrt(arr.shape[-1])
-            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
-    params.b_f[...] = 1.0
-    return params
+    p = ModelParams(cfg, np.zeros(param_count(cfg), dtype=dtype))
+    rows = {gate: slice(k * cfg.d, (k + 1) * cfg.d) for k, gate in enumerate(FUSED_GATES)}
+    lstm = [w[rows[gate]] for gate in "ifgo" for w in (p.wx, p.wh)]
+    for w in (p.emb_w, *lstm, p.mlp1_w, p.mlp2_w, p.out_w):
+        bound = 1.0 / np.sqrt(w.shape[-1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    p.b[rows["f"]] = 1.0
+    return p
 
 
 @dataclass

@@ -192,7 +192,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
     step_probs = step_probs / step_probs.sum()
     base_time = datetime(2022, 1, 1, 0, 0, 0)
 
-    # Phase 1: batches of wafers with sensor readings and signals.
+    # Phase 1: batches of wafers with sensor readings, and the monitor wafer's signal.
     batches = []
     wafers_left = cfg.n_wafers
     b = 0
@@ -204,6 +204,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
         monitor_numeric = rng.uniform(*NUMERIC_RANGE, size=(n_steps, cfg.n_numeric_sensors))
         cat_labels = rng.integers(0, cfg.sensor_cat_vocab,
                                   size=(n_steps, cfg.n_sensor_categoricals))
+        signal = wafer_signal([step_value(monitor_numeric[t], list(cat_labels[t]), weights,
+                                          cat_offsets) for t in range(n_steps)])
         wafers = []
         for i in range(size):
             if i == 0:
@@ -215,20 +217,16 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
                 batch_start + timedelta(minutes=13 * t, seconds=3 * i)
                 for t in range(n_steps)
             ]
-            values = [
-                step_value(numeric[t], list(cat_labels[t]), weights, cat_offsets)
-                for t in range(n_steps)
-            ]
             wafers.append({
                 "product_id": f"W{b:06d}-{i}",
                 "numeric": numeric,
                 "cat_labels": cat_labels,
                 "timestamps": timestamps,
-                "signal": wafer_signal(values),
             })
         combo_pick = rng.choice(len(combos), size=cfg.measurements_per_wafer, replace=False)
         batches.append({
             "processing_id": f"P{b:06d}",
+            "signal": signal,
             "wafers": wafers,
             "combos": [combos[j] for j in sorted(combo_pick)],
             "equip": f"EQ-{int(rng.integers(cfg.n_equip)) + 1}",
@@ -240,7 +238,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthResult:
     half_width = 3.0 * cfg.noise_sd if cfg.noise_sd > 0 else FALLBACK_HALF_WIDTH
     group_signals: dict[tuple, list[float]] = {}
     for batch in batches:
-        z = batch["wafers"][0]["signal"]
+        z = batch["signal"]
         for combo in batch["combos"]:
             group_signals.setdefault(combo, []).append(z)
     group_maps = {}
@@ -339,7 +337,7 @@ def _batch_lines(batch: dict, group_maps: dict, rng: np.random.Generator,
     per measurement the inspection, target and duplicate draws.
     """
     pid = batch["processing_id"]
-    z = batch["wafers"][0]["signal"]
+    z = batch["signal"]
     per_combo = []
     for kqi, mtype, stage in batch["combos"]:
         gmap = group_maps[(kqi, mtype, stage)]

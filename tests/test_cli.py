@@ -212,6 +212,15 @@ class TestGenerate:
         assert ((tmp_path / "a" / "sensor.csv").read_bytes()
                 != (tmp_path / "b" / "sensor.csv").read_bytes())
 
+    def test_parser_built_once_and_subcommand_looked_up_per_call(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "[synth]\nn_wafers = 30\nseed = 1\n")
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "a") == 0
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not rebuild it
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args.out) or 7)
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "b") == 7
+        assert calls == [str(tmp_path / "b")] and not (tmp_path / "b").exists()
+
     def test_missing_n_wafers_fails_with_key_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[synth]\nseed = 1\n")
         assert run_cli("generate", "--config", cfg, "--out", tmp_path / "d") == 1

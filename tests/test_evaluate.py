@@ -9,9 +9,9 @@ from wafersense.domain import ControlLimits, DomainError
 from wafersense.evaluate import (
     DEFAULT_F_GRID,
     GROUP_THRESHOLDS,
-    ConfusionCounts,
     EvaluationError,
     GroupingReport,
+    SweepRow,
     error_bands,
     grade_errors,
     grouping_report,
@@ -187,8 +187,7 @@ class TestSweep:
         y = np.array([12.0, 12.0, 5.0, 5.0, -1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0])
         truth = np.array([True] * 4 + [False] * 8)
         rows = recall_fpr_sweep(y, truth, np.zeros(12), np.full(12, 10.0), [0.0])
-        counts = rows[0].counts
-        assert (counts.tp, counts.fn, counts.fp, counts.tn) == (2, 2, 1, 7)
+        assert (rows[0].tp, rows[0].fn, rows[0].fp, rows[0].tn) == (2, 2, 1, 7)
         assert rows[0].recall == 0.5
         assert rows[0].fpr == 0.125
 
@@ -296,9 +295,7 @@ class TestReportFiles:
         assert lines[-1] == f"decent_rate,{8 / 10!r}"
 
     def test_sweep_csv(self, tmp_path):
-        from wafersense.evaluate import SweepRow
-
-        rows = [SweepRow(f=0.0, counts=ConfusionCounts(tp=1, fn=1, fp=2, tn=6))]
+        rows = [SweepRow(f=0.0, tp=1, fn=1, fp=2, tn=6)]
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, rows)
         lines = path.read_text().strip().splitlines()

@@ -61,9 +61,39 @@ class TestInit:
 
     def test_forget_bias_is_one_and_other_biases_zero(self):
         params = init_params(TINY, seed=0)
-        assert np.all(params.b_f == 1.0)
-        assert np.all(params.b_i == 0.0)
+        d = TINY.d
+        assert np.all(params.b[d:2 * d] == 1.0)
+        assert np.all(params.b[:d] == 0.0) and np.all(params.b[2 * d:] == 0.0)
         assert np.all(params.mlp1_b == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("cfg", [TINY, ArchConfig(sensor_dim=5, meas_dim=2, d=7, mlp_hidden=3)])
+    def test_golden_per_gate_draw_order(self, cfg, seed, dtype):
+        # the draws of the spec, one weight matrix at a time: emb_w, then wx and
+        # wh of gates i, f, g, o, then the MLP; the gate rows are then stacked
+        # in FUSED_GATES order, so every checkpoint keeps its bytes
+        s, m, d, h = cfg.sensor_dim, cfg.meas_dim, cfg.d, cfg.mlp_hidden
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            bound = 1.0 / np.sqrt(shape[-1])
+            return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+        emb_w = draw(d, s)
+        wx, wh = {}, {}
+        for gate in "ifgo":
+            wx[gate], wh[gate] = draw(d, d), draw(d, d)
+        mlp1_w, mlp2_w, out_w = draw(h, d + m), draw(h, h), draw(h)
+        bias = {gate: np.full(d, 1.0 if gate == "f" else 0.0, dtype) for gate in "ifgo"}
+        want = np.concatenate([
+            emb_w.ravel(), np.zeros(d, dtype),
+            *(wx[g].ravel() for g in FUSED_GATES), *(wh[g].ravel() for g in FUSED_GATES),
+            *(bias[g] for g in FUSED_GATES),
+            mlp1_w.ravel(), np.zeros(h, dtype), mlp2_w.ravel(), np.zeros(h, dtype),
+            out_w, np.zeros(1, dtype)])
+        got = init_params(cfg, seed=seed, dtype=dtype).flat
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_weight_bounds(self):
         params = init_params(TINY, seed=0)
@@ -305,18 +335,20 @@ def _sigmoid(x):
 
 
 def per_gate_reference(p, steps, meas, upstream):
-    """Predictions and named gradients from the per-gate loops (one matrix
-    product per gate and step) that the fused-gate code replaced."""
+    """Predictions and block-named gradients from the per-gate loops (one
+    matrix product per gate and step) that the fused-gate code replaced."""
     batch, n = steps.shape[:2]
+    rows = {k: slice(j * p.cfg.d, (j + 1) * p.cfg.d) for j, k in enumerate(FUSED_GATES)}
+    wx, wh, b = ({k: block[rows[k]] for k in "ifgo"} for block in (p.wx, p.wh, p.b))
     h = np.zeros((batch, p.cfg.d))
     c = np.zeros_like(h)
     xs, gates, cs, hs = [], [], [c], [h]
     for t in range(n):
         x = steps[:, t, :] @ p.emb_w.T + p.emb_b
-        i = _sigmoid(x @ p.wx_i.T + h @ p.wh_i.T + p.b_i)
-        f = _sigmoid(x @ p.wx_f.T + h @ p.wh_f.T + p.b_f)
-        g = np.tanh(x @ p.wx_g.T + h @ p.wh_g.T + p.b_g)
-        o = _sigmoid(x @ p.wx_o.T + h @ p.wh_o.T + p.b_o)
+        i = _sigmoid(x @ wx["i"].T + h @ wh["i"].T + b["i"])
+        f = _sigmoid(x @ wx["f"].T + h @ wh["f"].T + b["f"])
+        g = np.tanh(x @ wx["g"].T + h @ wh["g"].T + b["g"])
+        o = _sigmoid(x @ wx["o"].T + h @ wh["o"].T + b["o"])
         c = f * c + i * g
         h = o * np.tanh(c)
         xs.append(x)
@@ -346,12 +378,12 @@ def per_gate_reference(p, steps, meas, upstream):
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         da.update(i=dc * g * i * (1.0 - i), f=dc * cs[t] * f * (1.0 - f),
                   g=dc * i * (1.0 - g * g))
-        dx = sum(da[k] @ getattr(p, f"wx_{k}") for k in "ifgo")
-        dh = sum(da[k] @ getattr(p, f"wh_{k}") for k in "ifgo")
+        dx = sum(da[k] @ wx[k] for k in "ifgo")
+        dh = sum(da[k] @ wh[k] for k in "ifgo")
         for k in "ifgo":
-            grads[f"wx_{k}"] += da[k].T @ xs[t]
-            grads[f"wh_{k}"] += da[k].T @ hs[t]
-            grads[f"b_{k}"] += da[k].sum(axis=0)
+            grads["wx"][rows[k]] += da[k].T @ xs[t]
+            grads["wh"][rows[k]] += da[k].T @ hs[t]
+            grads["b"][rows[k]] += da[k].sum(axis=0)
         dc = dc * f
         grads["emb_w"] += dx.T @ steps[:, t, :]
         grads["emb_b"] += dx.sum(axis=0)
@@ -391,13 +423,13 @@ class TestFusedGates:
             ref = ref_grads[name]
             assert np.max(np.abs(arr - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
-    def test_fused_blocks_are_views_stacking_the_named_gates(self):
+    def test_blocks_are_views_tiling_flat_in_order(self):
         params = init_params(TINY, seed=0)
         d = TINY.d
-        for block in ("wx", "wh", "b"):
-            fused = getattr(params, block)
-            assert fused.shape[0] == 4 * d and fused.flags.c_contiguous
-            assert np.shares_memory(fused, params.flat)
-            for k, gate in enumerate(FUSED_GATES):
-                fused[k * d:(k + 1) * d] = k + 1.0
-                assert np.all(getattr(params, f"{block}_{gate}") == k + 1.0), (block, gate)
+        assert params.wx.shape == params.wh.shape == (4 * d, d) and params.b.shape == (4 * d,)
+        sizes = []
+        for k, (name, block) in enumerate(params.arrays()):
+            assert block.base is params.flat and block.flags.c_contiguous, name
+            block[...] = k
+            sizes.append(block.size)
+        assert np.array_equal(params.flat, np.repeat(np.arange(len(sizes)), sizes))
