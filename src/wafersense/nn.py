@@ -201,10 +201,16 @@ def activate_gates(a: np.ndarray, d: int):
 
 
 def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
-    """The last cell state (d, B) of the (B, n, S) ``steps``, untraced: the embedding and
-    the input biases folded into one (4d, S + 1) weight that multiplies each step's
-    inputs with a ones row below them, one live (4d, B) gate block, c and h."""
+    """The last cell state (d, B) of the (B, n, S) ``steps``, untraced. Each run of adjacent
+    rows with bit-equal steps (a wafer's measurement rows) is encoded once and gathered back
+    to all its rows. The embedding and input biases fold into one (4d, S + 1) weight on each
+    step's inputs with a ones row below them; one live (4d, U) gate block, c and h per run."""
     d, (batch, n_steps, s) = p.cfg.d, steps.shape
+    bits = steps.reshape(batch, n_steps * s).view(f"u{steps.itemsize}")
+    new_run = np.ones(batch, dtype=bool)
+    new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    steps, run_of_row = steps[new_run], np.cumsum(new_run) - 1
+    batch = len(steps)
     w_in = np.concatenate([p.wx @ p.emb_w, (p.wx @ p.emb_b + p.b)[:, None]], axis=1)
     x = np.ones((n_steps, s + 1, batch), dtype=p.dtype)
     x[:, :s] = steps.transpose(1, 2, 0)
@@ -219,7 +225,7 @@ def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
         c += i * g
         if t + 1 < n_steps:  # h_n is unused
             np.multiply(o, np.tanh(c, out=h), out=h)
-    return c
+    return c[:, run_of_row]
 
 
 def mlp_head(p: ModelParams, c_n: np.ndarray, meas: np.ndarray):

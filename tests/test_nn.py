@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wafersense import nn
 from wafersense.nn import (
     FUSED_GATES,
     ArchConfig,
     CheckpointError,
     ModelParams,
+    activate_gates,
     backward,
     backward_batch,
+    encode,
     forward,
     forward_batch,
     init_params,
@@ -15,8 +19,9 @@ from wafersense.nn import (
     param_count,
     save_checkpoint,
 )
+from wafersense.train import TrainBucket, dataset_loss
 
-from conftest import zeros_like_params
+from conftest import examples, zeros_like_params
 
 TINY = ArchConfig(sensor_dim=6, meas_dim=3, d=4, mlp_hidden=5)
 
@@ -196,6 +201,87 @@ class TestForward:
             _, trace = forward(params, steps, rng.normal(size=3))
             for t in range(1, n + 1):
                 assert np.all(np.abs(trace.c[t]) <= t + 1e-9)
+
+
+def untraced_with_widths(params, steps, meas):
+    """Untraced predictions and the column count of every gate block ``encode`` activated."""
+    widths = []
+
+    def spy(a, d):
+        widths.append(a.shape[1])
+        return activate_gates(a, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "activate_gates", spy)
+        preds, _ = forward_batch(params, steps, meas, want_trace=False)
+    return preds, widths
+
+
+class TestEncodeOnce:
+    """The untraced forward encodes each run of adjacent bit-equal step blocks once."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=12),
+           n=st.integers(1, 3), chunk=st.integers(1, 9), seed=st.integers(0, 2**16),
+           dtype_tol=st.sampled_from([(np.float64, 1e-12), (np.float32, 1e-5)]))
+    def test_runs_encoded_once_match_traced_forward(self, runs, n, chunk, seed, dtype_tol):
+        # runs of drawn lengths, each one of five sequences, so a sequence may come back
+        # after another one: that repeat is a run of its own. Sequence k differs from
+        # sequence 0 by k in one element only, so every bit of a block must be compared.
+        dtype, tol = dtype_tol
+        rng = np.random.default_rng(seed)
+        ids = np.repeat([seq for _, seq in runs], [length for length, _ in runs])
+        pool = np.repeat(rng.normal(size=(1, n * 6)), 5, axis=0)
+        pool[np.arange(1, 5), rng.integers(0, n * 6, size=4)] += np.arange(1, 5)
+        steps = pool.reshape(5, n, 6).astype(dtype)[ids]
+        meas = rng.normal(size=(len(ids), 3)).astype(dtype)
+        params = tiny_params(n, dtype=dtype)
+        lean, widths = untraced_with_widths(params, steps, meas)
+        assert widths == [1 + np.count_nonzero(ids[1:] != ids[:-1])] * n
+        traced, _ = forward_batch(params, steps, meas)
+        np.testing.assert_allclose(lean, traced, rtol=tol, atol=tol)
+        encoded = encode(params, steps)
+        repeat = np.flatnonzero(ids[1:] == ids[:-1]) + 1
+        assert encoded[:, repeat].tobytes() == encoded[:, repeat - 1].tobytes()
+        if dtype == np.float64:  # the validation loss, its chunks cutting through runs
+            target, scale = rng.normal(size=len(ids)), rng.uniform(0.5, 2.0, size=len(ids))
+            per_row = [abs(forward(params, steps[k], meas[k])[0] - target[k]) / scale[k]
+                       for k in range(len(ids))]
+            got = dataset_loss(params, [TrainBucket(n, steps, meas, target, scale)], chunk)
+            assert got == pytest.approx(np.mean(per_row), rel=1e-12, abs=1e-12)
+
+    def test_empty_batch_predicts_nothing(self):
+        preds, widths = untraced_with_widths(tiny_params(0), np.zeros((0, 2, 6)), np.zeros((0, 3)))
+        assert preds.shape == (0,) and widths == [0, 0]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_one_row_and_all_equal_rows_encode_one_column(self, rows):
+        params = tiny_params(1)
+        rng = np.random.default_rng(70)
+        steps, meas = np.repeat(rng.normal(size=(1, 3, 6)), rows, axis=0), rng.normal(size=(rows, 3))
+        lean, widths = untraced_with_widths(params, steps, meas)
+        assert widths == [1, 1, 1]
+        np.testing.assert_allclose(lean, forward_batch(params, steps, meas)[0],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_signed_zeros_are_two_runs_both_right(self):
+        params = tiny_params(2)
+        rng = np.random.default_rng(71)
+        steps, meas = np.repeat(rng.normal(size=(1, 2, 6)), 2, axis=0), rng.normal(size=(2, 3))
+        steps[0, 1, 2], steps[1, 1, 2] = 0.0, -0.0
+        lean, widths = untraced_with_widths(params, steps, meas)
+        assert widths == [2, 2]
+        np.testing.assert_allclose(lean, forward_batch(params, steps, meas)[0],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_byte_equal_rows_holding_nan_are_one_run(self):
+        params = tiny_params(3)
+        rng = np.random.default_rng(72)
+        steps, meas = np.repeat(rng.normal(size=(1, 2, 6)), 3, axis=0), rng.normal(size=(3, 3))
+        steps[:, 0, 4] = np.nan
+        lean, widths = untraced_with_widths(params, steps, meas)
+        assert widths == [1, 1]
+        assert np.isnan(lean).all() and np.isnan(forward_batch(params, steps, meas)[0]).all()
 
 
 class TestBackward:

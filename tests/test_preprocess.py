@@ -302,3 +302,21 @@ class TestPipeline:
         assert np.array_equal(loaded.features, bucket.features)
         assert np.array_equal(loaded.kqi, bucket.kqi)
         assert np.array_equal(loaded.lcl, bucket.lcl)  # targ pair resolved limits
+
+
+def test_tiny_buckets_hold_each_wafer_as_one_run_of_equal_step_blocks(tiny_run):
+    # the untraced forward encodes each run of adjacent bit-equal step blocks once,
+    # so a bucket order that scattered a wafer's rows would lose that saving
+    manifest, _ = pp.read_manifest(tiny_run["features"])
+    s_width = pp.FeaturePipeline.from_manifest_dict(manifest).s_width
+    rows = wafers = 0
+    for key in manifest["bucket_sizes"]:
+        for bucket in pp.load_split(tiny_run["features"], *key.split("_")):
+            wafer = np.char.add(np.char.add(bucket.processing_id, "\0"), bucket.product_id)
+            new_wafer = wafer[1:] != wafer[:-1]
+            steps = bucket.features[:, :bucket.n_steps * s_width].view(np.uint32)
+            new_steps = (steps[1:] != steps[:-1]).any(axis=1)
+            assert len(np.unique(wafer)) == 1 + np.count_nonzero(new_wafer), key
+            assert np.array_equal(new_steps, new_wafer), key
+            rows, wafers = rows + len(bucket), wafers + len(np.unique(wafer))
+    assert rows > wafers > 0
