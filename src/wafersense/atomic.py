@@ -1,8 +1,9 @@
-"""Atomic output files (write beside the target, then rename over it) and a
-checked reader of the .npz files written that way."""
+"""Atomic output files (write beside the target, then rename over it), the CSV
+writer on top of them, and a checked reader of the .npz files written that way."""
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import re
@@ -32,6 +33,14 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the CSV file ``path``, its ``header`` row then ``rows``, through ``atomic_open``."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_npz(path, error: type[Exception], what: str, names) -> dict[str, np.ndarray]:

@@ -321,11 +321,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predictions(params, meta, buckets, manifest, groups):
+def _predictions(params, meta, buckets, groups):
     """Raw-scale predictions over all buckets, with a per-sample keep mask."""
     preds, keep = [], []
     for bucket in buckets:
-        p = ev.predict_bucket(params, bucket, manifest["s_width"], manifest["m_width"])
+        p = ev.predict_bucket(params, bucket)
         if meta["loss"] == LOSS_NL1:
             p, k = ev.denormalize_bucket(p, bucket, groups)
         else:
@@ -347,7 +347,10 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params, meta = load_checkpoint(checkpoint_path)
-    manifest, manifest_hash = preprocess.read_manifest(features_dir)
+    if meta.get("loss") not in LOSSES or not isinstance(meta.get("manifest_hash"), str):
+        raise CheckpointError(f"checkpoint {checkpoint_path} has a bad __meta__: loss "
+                              f"{meta.get('loss')!r}, manifest_hash {meta.get('manifest_hash')!r}")
+    _, manifest_hash = preprocess.read_manifest(features_dir)
     if meta["manifest_hash"] != manifest_hash:
         raise ConfigError(
             "checkpoint was trained on different preprocessing "
@@ -362,7 +365,7 @@ def cmd_evaluate(args) -> int:
         reg_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "test", flt)
         if not reg_buckets:
             raise ConfigError("no regression test samples after filtering")
-        preds, keep = _predictions(params, meta, reg_buckets, manifest, groups)
+        preds, keep = _predictions(params, meta, reg_buckets, groups)
         if not keep.all():
             diagnostics["regression_samples_without_group"] = int(np.sum(~keep))
         grouping = ev.grouping_report(preds[keep], _column(reg_buckets, "target")[keep])
@@ -371,7 +374,7 @@ def cmd_evaluate(args) -> int:
     pf_buckets = _load_split(features_dir, preprocess.STREAM_PASSFAIL, "test", flt)
     sweep_rows: list[ev.SweepRow] = []
     if pf_buckets:
-        preds, keep = _predictions(params, meta, pf_buckets, manifest, groups)
+        preds, keep = _predictions(params, meta, pf_buckets, groups)
         lcl, ucl = _column(pf_buckets, "lcl"), _column(pf_buckets, "ucl")
         no_limits = keep & ~(np.isfinite(lcl) & np.isfinite(ucl))
         if not keep.all():

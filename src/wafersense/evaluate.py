@@ -9,13 +9,12 @@ sweeping f trades false positives for recall.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 from .domain import INSPECTION_LABELS, PASSFAIL_LABELS, ErrorRecord
 from .nn import ModelParams, forward_batch
 from .normgroups import GroupKey, NormalizationGroup, denormalize, group_bounds
@@ -144,16 +143,11 @@ def recall_fpr_sweep(y_hat, truth_fail, b1_star, b2_star, f_values) -> list[Swee
     return rows
 
 
-def predict_bucket(params: ModelParams, bucket: Bucket, s_width: int, m_width: int,
-                   chunk: int = 512) -> np.ndarray:
+def predict_bucket(params: ModelParams, bucket: Bucket) -> np.ndarray:
     """Model predictions (on the model's own output scale) for one bucket."""
-    steps, meas = unjoin(bucket.features, bucket.n_steps, s_width, m_width)
-    preds = np.empty(len(bucket), dtype=np.float64)
-    for start in range(0, len(bucket), chunk):
-        sl = slice(start, start + chunk)
-        out, _ = forward_batch(params, steps[sl], meas[sl], want_trace=False)
-        preds[sl] = out
-    return preds
+    cfg = params.cfg
+    steps, meas = unjoin(bucket.features, bucket.n_steps, cfg.sensor_dim, cfg.meas_dim)
+    return forward_batch(params, steps, meas, want_trace=False)[0]
 
 
 def denormalize_bucket(preds: np.ndarray, bucket: Bucket,
@@ -172,26 +166,15 @@ def denormalize_bucket(preds: np.ndarray, bucket: Bucket,
 # runs with the same seed are byte-identical.
 
 def write_grouping_csv(path, report: GroupingReport) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "count"])
-        for k, count in enumerate(report.counts, start=1):
-            writer.writerow([k, count])
-        writer.writerow(["decent_rate", repr(report.decent_rate)])
+    write_csv(path, ["group", "count"], [*enumerate(report.counts, start=1),
+                                         ["decent_rate", repr(report.decent_rate)]])
 
 
 def write_sweep_csv(path, rows: list[SweepRow], with_counts: bool = True) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if with_counts:
-            writer.writerow(["f", "recall", "fpr", "tp", "fn", "fp", "tn"])
-            for row in rows:
-                writer.writerow([repr(row.f), repr(row.recall), repr(row.fpr),
-                                 row.tp, row.fn, row.fp, row.tn])
-        else:
-            writer.writerow(["f", "recall", "fpr"])
-            for row in rows:
-                writer.writerow([repr(row.f), repr(row.recall), repr(row.fpr)])
+    width = 7 if with_counts else 3
+    write_csv(path, ["f", "recall", "fpr", "tp", "fn", "fp", "tn"][:width], (
+        [repr(row.f), repr(row.recall), repr(row.fpr), row.tp, row.fn, row.fp, row.tn][:width]
+        for row in rows))
 
 
 def format_report_text(grouping: GroupingReport | None, sweep: list[SweepRow],

@@ -25,6 +25,9 @@ from .atomic import atomic_open, read_npz
 
 FUSED_GATES = ("i", "f", "o", "g")  # order of the gate rows in wx, wh and b
 PRESETS = {"small": (128, 256), "large": (1024, 2048)}  # name -> (d, mlp_hidden); first is default
+# Rows per untraced encode + head pass, cut from a batch's first row. A row's prediction
+# can move by an ulp with the rows beside it in a pass, so this cut decides the bits.
+PREDICT_ROWS = 512
 
 
 class CheckpointError(ValueError):
@@ -151,7 +154,7 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     """Run the model on a batch of same-length step sequences.
 
     steps has shape (B, n, S), meas (B, M). Returns (predictions (B,),
-    trace or None); without a trace, ``encode`` runs the LSTM.
+    trace or None); without a trace, ``encode`` runs the LSTM on each PREDICT_ROWS slice.
     """
     p, cfg = params, params.cfg
     steps = np.asarray(steps, dtype=p.dtype)
@@ -162,7 +165,11 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
         raise ValueError(f"meas must be ({steps.shape[0]}, {cfg.meas_dim}), got {meas.shape}")
     batch, n_steps, d = steps.shape[0], steps.shape[1], cfg.d
     if not want_trace:
-        return mlp_head(p, encode(p, steps), meas)[-1], None
+        preds = np.empty(batch, dtype=p.dtype)
+        for start in range(0, max(batch, 1), PREDICT_ROWS):  # an empty batch: one empty pass
+            rows = slice(start, start + PREDICT_ROWS)
+            preds[rows] = mlp_head(p, encode(p, steps[rows]), meas[rows])[-1]
+        return preds, None
     steps = np.ascontiguousarray(steps.transpose(1, 2, 0))
 
     # embedding and input pre-activations of every step, before the recurrence

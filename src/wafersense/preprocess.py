@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open, read_npz
+from .atomic import atomic_open, read_npz, write_csv
 from .domain import (DATETIME_FEATURES, MeasurementRecord, MeasurementTable, SensorTable,
                      WaferRecord, WaferTable)
 from .normgroups import GroupKey, NormalizationGroup, resolve_control_limits
@@ -408,10 +408,8 @@ def read_manifest(features_dir: Path) -> tuple[dict, str]:
 
 
 def write_groups_csv(path, groups: dict[GroupKey, NormalizationGroup]) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kqi", "type", "stage", "b1", "b2"])
-        writer.writerows([*key, repr(g.b1), repr(g.b2)] for key, g in sorted(groups.items()))
+    write_csv(path, ["kqi", "type", "stage", "b1", "b2"],
+              ([*key, repr(g.b1), repr(g.b2)] for key, g in sorted(groups.items())))
 
 
 def read_groups_csv(path) -> dict[GroupKey, NormalizationGroup]:

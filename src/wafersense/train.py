@@ -9,7 +9,6 @@ from an NL1 model must be mapped back before evaluation.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import logging
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 from .nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
 from .normgroups import GroupKey, NormalizationGroup, group_bounds, normalize_target
 from .preprocess import Bucket, unjoin
@@ -281,17 +280,14 @@ def iter_epoch_batches(buckets: list[TrainBucket], batch_size: int, seed: int, e
         yield bucket.steps[idx], bucket.meas[idx], bucket.target[idx], bucket.scale[idx]
 
 
-def dataset_loss(params: ModelParams, buckets: list[TrainBucket], chunk: int = 1024) -> float:
+def dataset_loss(params: ModelParams, buckets: list[TrainBucket]) -> float:
     """Sample-weighted mean loss over all buckets."""
     total, count = 0.0, 0
     for bucket in buckets:
-        for start in range(0, len(bucket), chunk):
-            sl = slice(start, start + chunk)
-            preds, _ = forward_batch(params, bucket.steps[sl], bucket.meas[sl],
-                                     want_trace=False)
-            losses, _ = weighted_l1(preds, bucket.target[sl], bucket.scale[sl])
-            total += float(losses.sum())
-            count += len(losses)
+        preds, _ = forward_batch(params, bucket.steps, bucket.meas, want_trace=False)
+        losses, _ = weighted_l1(preds, bucket.target, bucket.scale)
+        total += float(losses.sum())
+        count += len(losses)
     if count == 0:
         raise TrainingDiverged("no samples to evaluate")
     return total / count
@@ -350,9 +346,6 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "is_best"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss),
-                             int(row.is_best)])
+    write_csv(path, ["epoch", "train_loss", "val_loss", "is_best"],
+              ([row.epoch, repr(row.train_loss), repr(row.val_loss), int(row.is_best)]
+               for row in history))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import wafersense
 from wafersense import atomic, cli, preprocess
 from wafersense.cli import ConfigError, RunConfig, _parse_filter
+from wafersense.nn import load_checkpoint, save_checkpoint
 from wafersense.synthgen import SynthConfig
 from wafersense.train import LOSSES, TrainConfig
 
@@ -582,6 +583,34 @@ def test_damaged_input_file_is_an_error_naming_it(tiny_run, tmp_path, capsys, na
     assert len(errors) == 1 and str(damaged) in errors[0] and message in errors[0], err
     assert "Traceback" not in err and "pickle" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def refused_meta_error(tiny_run, tmp_path, capsys, edit) -> str:
+    """stderr of evaluating a copy of the tiny checkpoint whose __meta__ ``edit`` changed
+    in place, after checking that the run was refused by one error line naming the file."""
+    params, meta = load_checkpoint(tiny_run["checkpoint"])
+    edit(meta)
+    checkpoint, out = tmp_path / "model.npz", tmp_path / "r"
+    save_checkpoint(checkpoint, params, meta)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", tiny_run["config"], "--checkpoint", checkpoint,
+                   "--features", tiny_run["features"], "--out", out) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(checkpoint) in errors[0] and "__meta__" in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+    return err
+
+
+@pytest.mark.parametrize("key", ["manifest_hash", "loss"])
+def test_checkpoint_meta_without_a_key_is_refused(tiny_run, tmp_path, capsys, key):
+    refused_meta_error(tiny_run, tmp_path, capsys, lambda meta: meta.pop(key))
+
+
+def test_checkpoint_meta_with_an_unknown_loss_is_refused(tiny_run, tmp_path, capsys):
+    assert "'l2'" in refused_meta_error(tiny_run, tmp_path, capsys,
+                                        lambda meta: meta.update(loss="l2"))
 
 
 class HalfWrittenFile:

@@ -222,9 +222,9 @@ class TestEncodeOnce:
 
     @settings(max_examples=examples(60), deadline=None)
     @given(runs=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=12),
-           n=st.integers(1, 3), chunk=st.integers(1, 9), seed=st.integers(0, 2**16),
+           n=st.integers(1, 3), cut=st.integers(1, 9), seed=st.integers(0, 2**16),
            dtype_tol=st.sampled_from([(np.float64, 1e-12), (np.float32, 1e-5)]))
-    def test_runs_encoded_once_match_traced_forward(self, runs, n, chunk, seed, dtype_tol):
+    def test_runs_encoded_once_match_traced_forward(self, runs, n, cut, seed, dtype_tol):
         # runs of drawn lengths, each one of five sequences, so a sequence may come back
         # after another one: that repeat is a run of its own. Sequence k differs from
         # sequence 0 by k in one element only, so every bit of a block must be compared.
@@ -243,11 +243,13 @@ class TestEncodeOnce:
         encoded = encode(params, steps)
         repeat = np.flatnonzero(ids[1:] == ids[:-1]) + 1
         assert encoded[:, repeat].tobytes() == encoded[:, repeat - 1].tobytes()
-        if dtype == np.float64:  # the validation loss, its chunks cutting through runs
+        if dtype == np.float64:  # the validation loss, its forward cut through runs
             target, scale = rng.normal(size=len(ids)), rng.uniform(0.5, 2.0, size=len(ids))
             per_row = [abs(forward(params, steps[k], meas[k])[0] - target[k]) / scale[k]
                        for k in range(len(ids))]
-            got = dataset_loss(params, [TrainBucket(n, steps, meas, target, scale)], chunk)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nn, "PREDICT_ROWS", cut)
+                got = dataset_loss(params, [TrainBucket(n, steps, meas, target, scale)])
             assert got == pytest.approx(np.mean(per_row), rel=1e-12, abs=1e-12)
 
     def test_empty_batch_predicts_nothing(self):

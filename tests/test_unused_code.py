@@ -89,3 +89,49 @@ def test_every_public_name_is_used_outside_unit_tests():
         if in_src[name] - own <= 0 and not outside[name]:
             unused.append(f"{path.name}:{node.lineno} {qualified}")
     assert not unused, "referenced only by unit tests, or nowhere: " + ", ".join(unused)
+
+
+def _defaulted_parameters(node: ast.FunctionDef, method: bool):
+    """(position or None, name) of each parameter of ``node`` that has a default;
+    the position counts the call's own arguments, past a method's self or cls."""
+    positional = node.args.posonlyargs + node.args.args
+    skip = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in node.decorator_list)
+    for k, arg in enumerate(positional[len(positional) - len(node.args.defaults):],
+                            start=len(positional) - len(node.args.defaults)):
+        yield k - skip, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` may give the parameter ``name`` at ``position`` a value."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_outside_unit_tests():
+    # a parameter that every caller leaves at its default is a constant dressed as an
+    # option; calls are matched by the function's name, so a same-named call counts too
+    trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    callers = [*trees.values(), _parse(ROOT / "tests" / "test_acceptance.py"),
+               *(_parse(path) for path in sorted((ROOT / "perfbench").rglob("*.py")))]
+    calls = {}
+    for tree in callers:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(sub)
+
+    unpassed = []
+    for path, qualified, node in _public_definitions(trees):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for position, name in _defaulted_parameters(node, "." in qualified):
+            if not any(_passes(call, position, name) for call in calls.get(node.name, ())):
+                unpassed.append(f"{path.name}:{node.lineno} {qualified}({name})")
+    assert not unpassed, "defaulted parameters no caller passes: " + ", ".join(unpassed)
