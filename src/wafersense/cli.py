@@ -344,7 +344,6 @@ def cmd_evaluate(args) -> int:
     features_dir = cfg.path("features_dir", args.features)
     checkpoint_path = cfg.path("checkpoint", args.checkpoint)
     out_dir = cfg.path("report_dir", args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     params, meta = load_checkpoint(checkpoint_path)
     if meta.get("loss") not in LOSSES or not isinstance(meta.get("manifest_hash"), str):
@@ -358,20 +357,22 @@ def cmd_evaluate(args) -> int:
     groups = preprocess.read_groups_csv(features_dir / "groups.csv")
     flt = _parse_filter(args.test_filter)
     f_grid = cfg.f_grid(args.f_grid)
+    reg_buckets = [] if args.sweep_only else _load_split(
+        features_dir, preprocess.STREAM_REGRESSION, "test", flt)
+    if not (args.sweep_only or reg_buckets):
+        raise ConfigError("no regression test samples after filtering")
+    pf_buckets = _load_split(features_dir, preprocess.STREAM_PASSFAIL, "test", flt)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after every check: a refused run leaves none
     diagnostics: dict[str, int] = {}
 
     grouping = None
-    if not args.sweep_only:
-        reg_buckets = _load_split(features_dir, preprocess.STREAM_REGRESSION, "test", flt)
-        if not reg_buckets:
-            raise ConfigError("no regression test samples after filtering")
+    if reg_buckets:
         preds, keep = _predictions(params, meta, reg_buckets, groups)
         if not keep.all():
             diagnostics["regression_samples_without_group"] = int(np.sum(~keep))
         grouping = ev.grouping_report(preds[keep], _column(reg_buckets, "target")[keep])
         ev.write_grouping_csv(out_dir / "grouping.csv", grouping)
 
-    pf_buckets = _load_split(features_dir, preprocess.STREAM_PASSFAIL, "test", flt)
     sweep_rows: list[ev.SweepRow] = []
     if pf_buckets:
         preds, keep = _predictions(params, meta, pf_buckets, groups)

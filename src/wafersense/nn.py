@@ -82,21 +82,21 @@ def param_count(cfg: ArchConfig) -> int:
 class ModelParams:
     """All weights in one contiguous 1-D vector ``flat``.
 
-    Each block of ``param_shapes`` is an attribute holding a view into
-    ``flat``: the embedding (d, S), the fused LSTM blocks wx (4d, d), wh
-    (4d, d) and b (4d,), then the MLP (d+M) -> H -> H -> 1. Matrices are
-    (out, in) in row-major order, and each fused block stacks the gates in
+    Each block of ``param_shapes`` is an attribute holding a view into ``flat``
+    from ``starts[name]`` on: the embedding (d, S), the fused LSTM blocks wx
+    (4d, d), wh (4d, d) and b (4d,), then the MLP (d+M) -> H -> H -> 1. Matrices
+    are (out, in) in row-major order, and each fused block stacks the gates in
     ``FUSED_GATES`` order, so the three sigmoid gates are adjacent.
     """
 
     def __init__(self, cfg: ArchConfig, flat: np.ndarray):
         shapes = param_shapes(cfg)
-        self.cfg, self.flat, self.names = cfg, flat, tuple(shapes)
+        self.cfg, self.flat, self.names, self.starts = cfg, flat, tuple(shapes), {}
         offset = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
             setattr(self, name, flat[offset:offset + size].reshape(shape))
-            offset += size
+            self.starts[name], offset = offset, offset + size
         if flat.shape != (offset,):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {cfg}")
 
@@ -252,16 +252,26 @@ def forward(params: ModelParams, steps: np.ndarray, meas: np.ndarray):
     return float(preds[0]), trace
 
 
+def backward_ranges(params: ModelParams) -> list[slice]:
+    """The ranges of ``flat`` that ``backward_batch`` hands to ``update``, in that order."""
+    starts = [params.starts[name] for name in ("mlp2_w", "mlp1_w", "wh", "emb_w")]
+    return [slice(lo, hi) for lo, hi in zip(starts, [params.size(), *starts])]
+
+
 def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarray,
-                   out: ModelParams | None = None) -> ModelParams:
+                   out: ModelParams | None = None, update=lambda finished: None) -> ModelParams:
     """Reverse-mode gradients of sum_b upstream[b] * prediction[b].
 
     Returns a gradient with the same structure as ModelParams, written into
     ``out`` when given (its old contents are overwritten, never read). The
     caller folds loss derivatives and any 1/batch factor into ``upstream``.
+    ``update`` gets each range of ``flat`` once its gradient is final and its weights
+    are read for the last time: [mlp2_w .. out_b] after dpre1, [mlp1_w, mlp1_b] after
+    dc, [wh, b] after the recurrence and [emb_w, emb_b, wx] after dx.
     """
     p, cfg = params, params.cfg
     grads = ModelParams(cfg, np.empty_like(p.flat)) if out is None else out
+    tail, mlp1, recurrent, head = backward_ranges(p)
     dy = np.asarray(upstream, dtype=p.dtype)
     d, (n_steps, _, batch) = cfg.d, trace.gates.shape
 
@@ -273,9 +283,11 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarra
     np.matmul(dpre2, trace.z1.T, out=grads.mlp2_w)
     np.matmul(dpre2, ones[:batch], out=grads.mlp2_b)
     dpre1 = (p.mlp2_w.T @ dpre2) * (trace.z1 > 0)
+    update(tail)
     np.matmul(dpre1, trace.z0.T, out=grads.mlp1_w)
     np.matmul(dpre1, ones[:batch], out=grads.mlp1_b)
     dc = p.mlp1_w[:, :d].T @ dpre1  # prediction consumes c_n; h_n is unused
+    update(mlp1)
 
     # LSTM: gate pre-activation gradients of every step, gathered in da_all
     da_all = np.empty_like(trace.gates)
@@ -299,12 +311,14 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, upstream: np.ndarra
     # weight gradients of all steps at once, from (features, n * B) transpose-copies
     da_cat, x_cat, h_cat, steps_cat = (arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
                                        for arr in (da_all, trace.x, trace.h, trace.steps))
-    np.matmul(da_cat, x_cat.T, out=grads.wx)
     np.matmul(da_cat[:, batch:], h_cat[:, batch:].T, out=grads.wh)  # h_0 = 0
     np.matmul(da_cat, ones, out=grads.b)
+    update(recurrent)
+    np.matmul(da_cat, x_cat.T, out=grads.wx)
     dx = p.wx.T @ da_cat
     np.matmul(dx, steps_cat.T, out=grads.emb_w)
     np.matmul(dx, ones, out=grads.emb_b)
+    update(head)
     return grads
 
 

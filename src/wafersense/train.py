@@ -17,11 +17,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .atomic import write_csv
-from .nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
+from .nn import ArchConfig, ModelParams, backward_batch, backward_ranges, forward_batch, init_params
 from .normgroups import GroupKey, NormalizationGroup, group_bounds, normalize_target
 from .preprocess import Bucket, unjoin
 
@@ -187,16 +188,18 @@ def _blas_park():
     return None
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              t: int, cfg: TrainConfig, pool: ThreadPoolExecutor | None = None):
-    """Standard Adam update with bias correction (Kingma & Ba, arXiv:1412.6980),
-    in 10 in-place passes per block; mutates params and state. The moments are kept as
-    m / (1 - b1) and v / (1 - b2); the bias corrections fold into step and eps.
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, t: int,
+              cfg: TrainConfig, pool: ThreadPoolExecutor | None = None, start: int = 0):
+    """Standard Adam update with bias correction (Kingma & Ba, arXiv:1412.6980) of
+    ``flat[start:start + len(grad)]``, whose gradient is ``grad``, in 10 in-place passes
+    per block; mutates params and state. The moments are kept as m / (1 - b1) and
+    v / (1 - b2); the bias corrections fold into step and eps. ``fit`` runs it on each
+    span of ranges the backward pass is done with: four per step on the large preset.
 
-    The blocks are split into one contiguous range per scratch slab of
-    ``state``. With more than one slab, ``pool`` updates the ranges in
-    parallel, after OpenBLAS's spinning threads are parked. Every element gets
-    the same arithmetic whatever the split, so the split never changes a byte.
+    The blocks are split into one contiguous run per scratch slab of ``state``.
+    With more than one slab, ``pool`` updates the runs in parallel, after
+    OpenBLAS's spinning threads are parked. Every element gets the same
+    arithmetic whatever the range or split, so neither changes a byte.
     """
     b1, b2, lr = BETA1, BETA2, cfg.learning_rate
     v_scale = float(np.sqrt((1.0 - b2 ** t) / (1.0 - b2)))
@@ -204,12 +207,13 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     step, eps = lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale, EPS * v_scale
     flush, tiny = t % FLUSH_EVERY == 0, np.finfo(params.dtype).tiny
     m_floor, v_floor = tiny / (lr * (1.0 - b1)), tiny / (1.0 - b2)
-    n_blocks, workers = -(-params.size() // ADAM_BLOCK), len(state.scratch)
+    n_blocks, workers = -(-len(grad) // ADAM_BLOCK), len(state.scratch)
+    flat, moment1, moment2 = (a[start:start + len(grad)] for a in (params.flat, state.m, state.v))
 
     def update(worker: int) -> None:
         for block in range(worker * n_blocks // workers, (worker + 1) * n_blocks // workers):
             sl = slice(block * ADAM_BLOCK, (block + 1) * ADAM_BLOCK)
-            p, g, m, v = params.flat[sl], grads.flat[sl], state.m[sl], state.v[sl]
+            p, g, m, v = flat[sl], grad[sl], moment1[sl], moment2[sl]
             x, y = state.scratch[worker, :, : len(p)]
             m *= b1
             m += g
@@ -231,7 +235,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
         if park is not None:
             park()
         list(pool.map(update, range(workers)))
-    return params, state
 
 
 @dataclass(frozen=True)
@@ -299,14 +302,29 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
 
     Stops once ``patience`` consecutive epochs bring no strictly lower
     validation loss, or at max_epochs. The returned parameters are the
-    ones from the best-validation epoch.
+    ones from the best-validation epoch. Adam runs on each range backward_batch is done
+    with, merged with the next while under MIN_BLOCKS_PER_WORKER blocks: beside weights,
+    m, v and the best copy, the large preset's gradient is one 4,234,240-element span.
     """
     if not train_buckets or not val_buckets:
         raise TrainingDiverged("need at least one train and one val batch")
     params = init_params(arch, cfg.seed)
     workers = adam_workers(params.size())
     state = init_adam_state(params, workers)
-    grads = ModelParams(arch, np.empty_like(params.flat))  # backward_batch overwrites it
+    spans, stop = {}, params.size()  # start -> span
+    for finished in backward_ranges(params):
+        if not finished.start or stop - finished.start > (MIN_BLOCKS_PER_WORKER - 1) * ADAM_BLOCK:
+            spans[finished.start], stop = slice(finished.start, stop), finished.start
+    grad = np.empty(max(span.stop - span.start for span in spans.values()), params.dtype)
+    grads = SimpleNamespace()  # each block's gradient, placed in grad as in its span
+    for (name, view), start in zip(params.arrays(), params.starts.values()):
+        lo = start - max(span for span in spans if span <= start)
+        setattr(grads, name, grad[lo:lo + view.size].reshape(view.shape))
+
+    def update(finished: slice) -> None:
+        if span := spans.get(finished.start):
+            adam_step(params, grad[:span.stop - span.start], state, t, cfg, pool, span.start)
+
     best_params = params.copy()  # the one buffer the best epoch's weights are copied into
     stopper = EarlyStopper(cfg.patience)
     history: list[EpochStats] = []
@@ -327,8 +345,7 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
                     )
                 t += 1
                 upstream = dpred / len(losses)  # batch loss is the sample mean
-                backward_batch(params, trace, upstream, out=grads)
-                adam_step(params, grads, state, t, cfg, pool)
+                backward_batch(params, trace, upstream, out=grads, update=update)
                 train_sum += float(losses.sum())
                 train_count += len(losses)
             val_loss = dataset_loss(params, val_buckets)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from wafersense import train
 
-from wafersense.nn import ArchConfig, ModelParams, init_params
+from wafersense.nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
 from wafersense.normgroups import NormalizationGroup, normalize_target
 from wafersense.preprocess import Bucket
 from wafersense.train import (
@@ -172,7 +172,7 @@ class TestAdam:
         before = params.copy()
         grads = zeros_like_params(params)
         state = init_adam_state(params)
-        adam_step(params, grads, state, t=1, cfg=TrainConfig())
+        adam_step(params, grads.flat, state, t=1, cfg=TrainConfig())
         for (_, a), (_, b) in zip(params.arrays(), before.arrays()):
             assert np.array_equal(a, b)
 
@@ -183,7 +183,7 @@ class TestAdam:
         emb_w = slice(0, params.emb_w.size)
         state.m[emb_w] = 1.0
         state.v[emb_w] = 1.0
-        adam_step(params, zeros_like_params(params), state, t=1, cfg=TrainConfig())
+        adam_step(params, zeros_like_params(params).flat, state, t=1, cfg=TrainConfig())
         assert np.allclose(state.m[emb_w], 0.9)
         assert np.allclose(state.v[emb_w], 0.999)
 
@@ -217,7 +217,7 @@ class TestAdam:
                     for m, v in ((state.m, state.v), (ref_m.flat, ref_v.flat)):
                         m[flushed] = m_floor
                         v[flushed] = v_floor
-                adam_step(params, grads, state, t=t, cfg=cfg, pool=pool)
+                adam_step(params, grads.flat, state, t=t, cfg=cfg, pool=pool)
                 v_scale = np.sqrt((1.0 - b2 ** t) / (1.0 - b2))
                 step = float(lr * (1.0 - b1) / (1.0 - b1 ** t) * v_scale)
                 eps = float(EPS * v_scale)
@@ -252,7 +252,7 @@ class TestAdam:
         scales = 10.0 ** rng.uniform(-6, 1, params.size())  # gradients over seven decades
         for t in range(1, 51):
             g = rng.normal(size=params.size()) * scales
-            adam_step(params, ModelParams(TINY_ARCH, g), state, t=t, cfg=cfg)
+            adam_step(params, g, state, t=t, cfg=cfg)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
@@ -282,7 +282,7 @@ class TestAdam:
             state = init_adam_state(params)
             state.m[: len(values)] = m_values
             state.v[-len(values):] = v_values
-            adam_step(params, grads, state, t=t, cfg=cfg)
+            adam_step(params, grads.flat, state, t=t, cfg=cfg)
             m, v = m_values * np.float32(0.9), v_values * np.float32(0.999)
             if t == FLUSH_EVERY:
                 m[np.abs(m) < m_floor] = 0.0
@@ -302,7 +302,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=1e-3)
         prev = params.emb_w.copy()
         for t in range(1, 1001):
-            adam_step(params, grads, state, t=t, cfg=cfg)
+            adam_step(params, grads.flat, state, t=t, cfg=cfg)
             if t > 5:
                 step = np.abs(params.emb_w - prev)
                 assert np.allclose(step, cfg.learning_rate, rtol=1e-5)
@@ -364,7 +364,7 @@ class TestAdamWorkers:
             state = init_adam_state(params, workers)
             with ThreadPoolExecutor(workers) as pool:
                 for t, g in enumerate(grad_steps, start=1):
-                    adam_step(params, ModelParams(TINY_ARCH, g), state, t, cfg, pool)
+                    adam_step(params, g, state, t, cfg, pool)
             results[workers] = (params.flat, state.m, state.v)
 
         switch = sys.getswitchinterval()
@@ -402,6 +402,96 @@ class TestAdamWorkers:
             fit(TINY_ARCH, [toy_bucket()], [val], cfg)
         assert max(during) > before  # the pool's threads did run
         assert threading.active_count() == before
+
+
+class TestFusedAdamStep:
+    """fit's Adam on each range the backward pass is done with, against a reference
+    loop over the same batches: a whole backward pass, then one update of all of
+    ``flat``. Adam works element by element, so no byte may move."""
+
+    @staticmethod
+    def fit_against_reference(monkeypatch, arch, buckets, dtype, workers):
+        """The (start, stop) of every update fit makes, after checking that its last
+        weights and moments equal the reference loop's, byte for byte."""
+        monkeypatch.setattr(train, "adam_workers", lambda n_params: workers)
+        monkeypatch.setattr(train, "init_params", lambda a, seed: init_params(a, seed, dtype))
+        updates, last = [], {}
+
+        def recording_adam_step(params, grad, state, t, cfg, pool=None, start=0):
+            updates.append((start, start + len(grad)))
+            last.update(params=params, state=state)
+            adam_step(params, grad, state, t, cfg, pool, start)
+
+        monkeypatch.setattr(train, "adam_step", recording_adam_step)
+        cfg = TrainConfig(max_epochs=1, batch_size=3, learning_rate=1e-2)
+        fit(arch, buckets, buckets[:1], cfg)
+        params = init_params(arch, cfg.seed, dtype)
+        state = init_adam_state(params, workers)
+        batches = iter_epoch_batches(buckets, cfg.batch_size, cfg.seed, epoch=1)
+        with ThreadPoolExecutor(workers) as pool:
+            for t, (steps, meas, target, scale) in enumerate(batches, start=1):
+                preds, trace = forward_batch(params, steps, meas)
+                _, dpred = weighted_l1(preds, target, scale)
+                grads = backward_batch(params, trace, dpred / len(dpred))
+                adam_step(params, grads.flat, state, t, cfg, pool)
+        assert len(last["state"].scratch) == workers
+        for got, want in ((last["params"].flat, params.flat), (last["state"].m, state.m),
+                          (last["state"].v, state.v)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        return updates, t
+
+    # TINY_ARCH's four ranges, tail first, hold 7, 6, 10 and 11 blocks of 8: each range
+    # updated alone, the first two merged, or all of flat at once. adam_workers is
+    # pinned, since it never splits TINY_ARCH's update of all of flat at once.
+    @pytest.mark.parametrize("min_blocks, n_spans", [(1, 4), (8, 3), (100, 1)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_equals_whole_backward_then_one_adam_step(self, monkeypatch, dtype, workers,
+                                                          min_blocks, n_spans):
+        monkeypatch.setattr(train, "ADAM_BLOCK", 8)
+        monkeypatch.setattr(train, "MIN_BLOCKS_PER_WORKER", min_blocks)
+        buckets = [toy_bucket(n_samples=7, n_steps=n, seed=n) for n in range(1, 6)]
+        updates, n_steps = self.fit_against_reference(monkeypatch, TINY_ARCH, buckets, dtype,
+                                                      workers)
+        assert n_steps == 15 and len(updates) == n_spans * n_steps
+
+    def test_threaded_products_between_parked_updates(self, monkeypatch):
+        # products big enough for OpenBLAS to thread, with a split update parked
+        # between them at every range
+        monkeypatch.setattr(train, "MIN_BLOCKS_PER_WORKER", 1)
+        arch = ArchConfig(sensor_dim=38, meas_dim=22, d=256, mlp_hidden=512)
+        rng = np.random.default_rng(1)
+        buckets = [TrainBucket(n, rng.uniform(size=(6, n, 38)).astype(np.float32),
+                               rng.uniform(size=(6, 22)).astype(np.float32),
+                               np.full(6, 20.0), np.full(6, 20.0)) for n in (1, 3)]
+        updates, n_steps = self.fit_against_reference(monkeypatch, arch, buckets,
+                                                      np.float32, 2)
+        assert len(updates) == 4 * n_steps
+
+    @pytest.mark.parametrize("preset, spans", [
+        ("small", [(0, 241_281)]),
+        ("large", [(10_576_896, 14_775_297), (8_432_640, 10_576_896), (4_234_240, 8_432_640),
+                   (0, 4_234_240)]),
+    ])
+    def test_fit_updates_spans_from_one_gradient_scratch(self, monkeypatch, preset, spans):
+        # at the criterion-6 widths: the small preset updates all of flat at once and
+        # the large one in four spans, from one scratch as long as the longest span
+        arch = ArchConfig.preset(preset, sensor_dim=38, meas_dim=22)
+        updates, scratches = [], set()
+
+        def recording_adam_step(params, grad, state, t, cfg, pool=None, start=0):
+            updates.append((start, start + len(grad)))
+            scratches.add((id(grad.base), grad.base.size))
+            adam_step(params, grad, state, t, cfg, pool, start)
+
+        monkeypatch.setattr(train, "adam_step", recording_adam_step)
+        rng = np.random.default_rng(0)
+        bucket = TrainBucket(1, rng.uniform(size=(2, 1, 38)).astype(np.float32),
+                             rng.uniform(size=(2, 22)).astype(np.float32),
+                             np.array([20.0, 21.0]), np.array([20.0, 21.0]))
+        fit(arch, [bucket], [bucket], TrainConfig(max_epochs=1))
+        assert updates == spans
+        assert [size for _, size in scratches] == [max(stop - start for start, stop in spans)]
 
 
 class TestEarlyStopper:
