@@ -13,6 +13,7 @@ import ctypes
 import functools
 import logging
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -140,9 +141,9 @@ def make_train_buckets(
 ADAM_BLOCK = 65_536
 # Adam's decay rates and epsilon (Kingma & Ba, arXiv:1412.6980)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-# Fewest blocks per Adam worker thread. A smaller update runs serially: the
-# small preset's 4 blocks gain nothing from a second thread, while the large
-# preset's 226 blocks split over two cores.
+# Fewest blocks per Adam worker thread. A smaller update runs serially: the small preset's
+# 4 blocks gain nothing from a second thread, but a forked Adam process overlaps them with
+# the backward pass; the large preset's 226 blocks split over two cores.
 MIN_BLOCKS_PER_WORKER = 16
 # Every this many steps, moments whose update product would be subnormal are
 # zeroed: a zero gradient decays them towards subnormals, which slow every step.
@@ -172,20 +173,21 @@ def adam_workers(n_params: int) -> int:
 
 
 @functools.cache
-def _blas_park():
-    """OpenBLAS's ``blas_thread_shutdown_`` from the library numpy loaded, or None.
-
-    After a threaded matrix product, OpenBLAS's idle workers spin for a long
-    while and hold the other cores. Shutting them down frees those cores for
-    the Adam workers; the next threaded product starts them again.
-    """
+def _openblas() -> SimpleNamespace:
+    """The OpenBLAS numpy loaded, as ctypes functions or None: ``park`` (its
+    ``blas_thread_shutdown_``), ``get_threads`` and ``set_threads``. After a threaded product
+    its idle workers spin for a long while and hold the other cores; parking frees them."""
+    blas = SimpleNamespace(park=None, get_threads=None, set_threads=None)
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        fn = getattr(ctypes.CDLL(str(lib)), "blas_thread_shutdown_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_int
-            return fn
-    return None
+    for lib in map(ctypes.CDLL, map(str, sorted(libs.glob("*openblas*")))):
+        for name, args, symbol in [("park", [], "blas_thread_shutdown_")] + [
+                (f"{op}_threads", args, f"{pre}openblas_{op}_num_threads{suf}")
+                for op, args in (("get", []), ("set", [ctypes.c_int]))
+                for pre, suf in (("scipy_", "64_"), ("", "64_"), ("", ""))]:
+            if getattr(blas, name) is None and (fn := getattr(lib, symbol, None)) is not None:
+                fn.argtypes, fn.restype = args, None if args else ctypes.c_int
+                setattr(blas, name, fn)
+    return blas
 
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, t: int,
@@ -194,7 +196,7 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, t: int,
     ``flat[start:start + len(grad)]``, whose gradient is ``grad``, in 10 in-place passes
     per block; mutates params and state. The moments are kept as m / (1 - b1) and
     v / (1 - b2); the bias corrections fold into step and eps. ``fit`` runs it on each
-    span of ranges the backward pass is done with: four per step on the large preset.
+    of the four ranges the backward pass is done with, every step.
 
     The blocks are split into one contiguous run per scratch slab of ``state``.
     With more than one slab, ``pool`` updates the runs in parallel, after
@@ -229,12 +231,10 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, t: int,
                 v[np.abs(v, out=x) < v_floor] = 0.0
 
     if workers == 1:
-        update(0)
-    else:
-        park = _blas_park()
-        if park is not None:
-            park()
-        list(pool.map(update, range(workers)))
+        return update(0)
+    if _openblas().park is not None:
+        _openblas().park()
+    list(pool.map(update, range(workers)))
 
 
 @dataclass(frozen=True)
@@ -303,62 +303,105 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     Stops once ``patience`` consecutive epochs bring no strictly lower
     validation loss, or at max_epochs. The returned parameters are the
     ones from the best-validation epoch. Adam runs on each range backward_batch is done
-    with, merged with the next while under MIN_BLOCKS_PER_WORKER blocks: beside weights,
-    m, v and the best copy, the large preset's gradient is one 4,234,240-element span.
+    with. Under MIN_BLOCKS_PER_WORKER blocks (the small preset), at one OpenBLAS thread, a
+    forked Adam process updates all ranges but the last from one shared map of the weights,
+    a whole gradient and the moments. A larger model's gradient is one longest-range scratch.
     """
     if not train_buckets or not val_buckets:
         raise TrainingDiverged("need at least one train and one val batch")
     params = init_params(arch, cfg.seed)
-    workers = adam_workers(params.size())
+    forked, blas = -(-params.size() // ADAM_BLOCK) < MIN_BLOCKS_PER_WORKER, _openblas()
+    workers = 1 if forked else adam_workers(params.size())  # the Adam process has no pool
     state = init_adam_state(params, workers)
-    spans, stop = {}, params.size()  # start -> span
-    for finished in backward_ranges(params):
-        if not finished.start or stop - finished.start > (MIN_BLOCKS_PER_WORKER - 1) * ADAM_BLOCK:
-            spans[finished.start], stop = slice(finished.start, stop), finished.start
-    grad = np.empty(max(span.stop - span.start for span in spans.values()), params.dtype)
-    grads = SimpleNamespace()  # each block's gradient, placed in grad as in its span
-    for (name, view), start in zip(params.arrays(), params.starts.values()):
-        lo = start - max(span for span in spans if span <= start)
-        setattr(grads, name, grad[lo:lo + view.size].reshape(view.shape))
+    if forked:
+        shared = np.frombuffer(mmap.mmap(-1, 4 * params.flat.nbytes), params.dtype).reshape(4, -1)
+        np.copyto(shared[0], params.flat)
+        params, grad, state.m, state.v = ModelParams(arch, shared[0]), *shared[1:]
+        grads = ModelParams(arch, grad)
+    else:
+        ranges = backward_ranges(params)
+        grad = np.empty(max(span.stop - span.start for span in ranges), params.dtype)
+        grads = SimpleNamespace()  # each block's gradient, placed in grad as in its range
+        for (name, view), start in zip(params.arrays(), params.starts.values()):
+            lo = start - max(span.start for span in ranges if span.start <= start)
+            setattr(grads, name, grad[lo:lo + view.size].reshape(view.shape))
+    threads = blas.get_threads() if forked and blas.get_threads and blas.set_threads else 0
+    fds, pid, pending, t = [], 0, 0, 0
 
-    def update(finished: slice) -> None:
-        if span := spans.get(finished.start):
+    def update(span: slice) -> None:
+        nonlocal pending
+        if pid and span.start:  # not the last range, which stays here while hot in cache
+            os.write(requests, np.array([t, span.start, span.stop], np.int64).tobytes())
+            pending += 1
+        else:
             adam_step(params, grad[:span.stop - span.start], state, t, cfg, pool, span.start)
+
+    def wait() -> None:  # until the Adam process has applied every range sent to it
+        nonlocal pending
+        if pending and len(acks.read(pending)) < pending:
+            raise RuntimeError(f"the Adam process (pid {pid}) ended before fit did")
+        pending = 0
 
     best_params = params.copy()  # the one buffer the best epoch's weights are copied into
     stopper = EarlyStopper(cfg.patience)
     history: list[EpochStats] = []
-    t = 0
-    log.info("adam: %d worker thread%s, OpenBLAS park hook %s", workers,
-             "" if workers == 1 else "s", "found" if _blas_park() else "not found")
-    with ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool:
-        for epoch in range(1, cfg.max_epochs + 1):
-            train_sum, train_count = 0.0, 0
-            for steps, meas, target, scale in iter_epoch_batches(
-                train_buckets, cfg.batch_size, cfg.seed, epoch
-            ):
-                preds, trace = forward_batch(params, steps, meas)
-                losses, dpred = weighted_l1(preds, target, scale)
-                if not np.all(np.isfinite(losses)):
-                    raise TrainingDiverged(
-                        f"non-finite training loss at epoch {epoch} (step {t + 1})"
-                    )
-                t += 1
-                upstream = dpred / len(losses)  # batch loss is the sample mean
-                backward_batch(params, trace, upstream, out=grads, update=update)
-                train_sum += float(losses.sum())
-                train_count += len(losses)
-            val_loss = dataset_loss(params, val_buckets)
-            if not np.isfinite(val_loss):
-                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-            is_best, should_stop = stopper.update(val_loss)
-            if is_best:
-                np.copyto(best_params.flat, params.flat)
-            history.append(EpochStats(epoch, train_sum / train_count, val_loss, is_best))
-            log.info("epoch %d: train %.6f val %.6f%s", epoch, train_sum / train_count,
-                     val_loss, " *" if is_best else "")
-            if should_stop:
-                break
+    try:
+        if threads:  # OpenBLAS's spinning workers would take the Adam process's core
+            blas.set_threads(1)
+        if forked:  # the request reader stays open here, so only wait() sees a dead Adam process
+            reader, requests, ack_reader, acker = fds = [*os.pipe(), *os.pipe()]
+            acks = open(ack_reader, "rb", closefd=False)  # its read(n) waits for n acks
+            if (pid := os.fork()) == 0:  # the Adam process: it never returns into the caller
+                try:
+                    os.close(requests)
+                    while request := os.read(reader, 24):
+                        t, start, stop = map(int, np.frombuffer(request, np.int64))
+                        adam_step(params, grad[start:stop], state, t, cfg, start=start)
+                        os.write(acker, b"\1")
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fds.pop())  # the Adam process's end: its exit closes the ack pipe
+        log.info("adam: %d worker thread%s, Adam process %s, OpenBLAS park hook %s, thread "
+                 "setter %s", workers, "" if workers == 1 else "s", pid or "not used",
+                 *("found" if fn else "not found" for fn in (blas.park, blas.set_threads)))
+        with ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool:
+            for epoch in range(1, cfg.max_epochs + 1):
+                train_sum, train_count = 0.0, 0
+                for steps, meas, target, scale in iter_epoch_batches(
+                    train_buckets, cfg.batch_size, cfg.seed, epoch
+                ):
+                    wait()
+                    preds, trace = forward_batch(params, steps, meas)
+                    losses, dpred = weighted_l1(preds, target, scale)
+                    if not np.all(np.isfinite(losses)):
+                        raise TrainingDiverged(
+                            f"non-finite training loss at epoch {epoch} (step {t + 1})"
+                        )
+                    t += 1
+                    upstream = dpred / len(losses)  # batch loss is the sample mean
+                    backward_batch(params, trace, upstream, out=grads, update=update)
+                    train_sum += float(losses.sum())
+                    train_count += len(losses)
+                wait()
+                val_loss = dataset_loss(params, val_buckets)
+                if not np.isfinite(val_loss):
+                    raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+                is_best, should_stop = stopper.update(val_loss)
+                if is_best:
+                    np.copyto(best_params.flat, params.flat)
+                history.append(EpochStats(epoch, train_sum / train_count, val_loss, is_best))
+                log.info("epoch %d: train %.6f val %.6f%s", epoch, train_sum / train_count,
+                         val_loss, " *" if is_best else "")
+                if should_stop:
+                    break
+    finally:
+        for fd in fds:  # closing the request pipe ends the Adam process's loop
+            os.close(fd)
+        if pid:
+            os.waitpid(pid, 0)
+        if threads:
+            blas.set_threads(threads)
     return best_params, history
 
 

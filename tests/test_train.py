@@ -1,4 +1,6 @@
 import logging
+import os
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -404,6 +406,72 @@ class TestAdamWorkers:
         assert threading.active_count() == before
 
 
+def recording_forks(monkeypatch) -> list[int]:
+    """The pids of the processes fit forks, filled in as it forks them."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(train.os, "fork", recording_fork)
+    return pids
+
+
+class TestAdamProcess:
+    """fit's forked Adam process, beside a model under MIN_BLOCKS_PER_WORKER blocks: however
+    fit ends, the process is reaped and OpenBLAS gets its thread count back."""
+
+    @pytest.mark.parametrize("ending", ["returned", "diverged", "killed"])
+    def test_reaped_and_blas_threads_restored(self, monkeypatch, caplog, ending):
+        blas = train._openblas()
+        if blas.set_threads is None:
+            pytest.skip("numpy's OpenBLAS has no thread-count setter here")
+        caplog.set_level(logging.INFO, logger=train.__name__)
+        pids, during = recording_forks(monkeypatch), []
+
+        def adam_step_then_kill(params, grad, state, t, cfg, pool=None, start=0):
+            adam_step(params, grad, state, t, cfg, pool, start)
+            if pids:  # in this process only: the Adam process's copy of pids is empty
+                during.append(blas.get_threads())
+                if ending == "killed" and t == 3:  # step 1 of epoch 2
+                    os.kill(pids[0], signal.SIGKILL)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("fit did not end")
+
+        monkeypatch.setattr(train, "adam_step", adam_step_then_kill)
+        val = toy_bucket(seed=9)
+        if ending == "diverged":
+            val.target[0] = np.nan  # epoch 1 trains, then its validation loss is NaN
+        cfg = TrainConfig(max_epochs=2, patience=5, seed=0, batch_size=4)
+        threads = blas.get_threads()
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        blas.set_threads(2)
+        signal.alarm(60)
+        try:
+            if ending == "returned":
+                _, history = fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+                assert len(history) == 2
+            else:
+                error = TrainingDiverged if ending == "diverged" else RuntimeError
+                with pytest.raises(error, match="validation|Adam process") as raised:
+                    fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+                if ending == "killed":
+                    assert f"Adam process (pid {pids[0]})" in str(raised.value)
+            assert blas.get_threads() == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            blas.set_threads(threads)
+        assert len(pids) == 1 and during and set(during) == {1}
+        assert f"Adam process {pids[0]}" in caplog.text and "thread setter found" in caplog.text
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestFusedAdamStep:
     """fit's Adam on each range the backward pass is done with, against a reference
     loop over the same batches: a whole backward pass, then one update of all of
@@ -411,8 +479,10 @@ class TestFusedAdamStep:
 
     @staticmethod
     def fit_against_reference(monkeypatch, arch, buckets, dtype, workers):
-        """The (start, stop) of every update fit makes, after checking that its last
-        weights and moments equal the reference loop's, byte for byte."""
+        """The (start, stop) of every update fit makes in this process, the number of steps
+        and the Adam scratch slabs fit used, after checking that its last weights and moments
+        equal the reference loop's, byte for byte. A forked Adam process records its updates
+        in its own copy of the recorder, so they are not among those returned."""
         monkeypatch.setattr(train, "adam_workers", lambda n_params: workers)
         monkeypatch.setattr(train, "init_params", lambda a, seed: init_params(a, seed, dtype))
         updates, last = [], {}
@@ -434,16 +504,16 @@ class TestFusedAdamStep:
                 _, dpred = weighted_l1(preds, target, scale)
                 grads = backward_batch(params, trace, dpred / len(dpred))
                 adam_step(params, grads.flat, state, t, cfg, pool)
-        assert len(last["state"].scratch) == workers
         for got, want in ((last["params"].flat, params.flat), (last["state"].m, state.m),
                           (last["state"].v, state.v)):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
-        return updates, t
+        return updates, t, len(last["state"].scratch)
 
-    # TINY_ARCH's four ranges, tail first, hold 7, 6, 10 and 11 blocks of 8: each range
-    # updated alone, the first two merged, or all of flat at once. adam_workers is
-    # pinned, since it never splits TINY_ARCH's update of all of flat at once.
-    @pytest.mark.parametrize("min_blocks, n_spans", [(1, 4), (8, 3), (100, 1)])
+    # TINY_ARCH's four ranges, tail first, hold 7, 6, 10 and 11 blocks of 8, 34 in all. Under
+    # min_blocks 1 this process updates each range on the pinned workers; under min_blocks
+    # 100 the Adam process updates the first three, and this process the last on one slab,
+    # whatever adam_workers says: the Adam process has no pool.
+    @pytest.mark.parametrize("min_blocks, n_spans", [(1, 4), (100, 1)])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fit_equals_whole_backward_then_one_adam_step(self, monkeypatch, dtype, workers,
@@ -451,9 +521,10 @@ class TestFusedAdamStep:
         monkeypatch.setattr(train, "ADAM_BLOCK", 8)
         monkeypatch.setattr(train, "MIN_BLOCKS_PER_WORKER", min_blocks)
         buckets = [toy_bucket(n_samples=7, n_steps=n, seed=n) for n in range(1, 6)]
-        updates, n_steps = self.fit_against_reference(monkeypatch, TINY_ARCH, buckets, dtype,
-                                                      workers)
+        updates, n_steps, slabs = self.fit_against_reference(monkeypatch, TINY_ARCH, buckets,
+                                                             dtype, workers)
         assert n_steps == 15 and len(updates) == n_spans * n_steps
+        assert slabs == (workers if n_spans == 4 else 1)
 
     def test_threaded_products_between_parked_updates(self, monkeypatch):
         # products big enough for OpenBLAS to thread, with a split update parked
@@ -464,24 +535,28 @@ class TestFusedAdamStep:
         buckets = [TrainBucket(n, rng.uniform(size=(6, n, 38)).astype(np.float32),
                                rng.uniform(size=(6, 22)).astype(np.float32),
                                np.full(6, 20.0), np.full(6, 20.0)) for n in (1, 3)]
-        updates, n_steps = self.fit_against_reference(monkeypatch, arch, buckets,
-                                                      np.float32, 2)
-        assert len(updates) == 4 * n_steps
+        updates, n_steps, slabs = self.fit_against_reference(monkeypatch, arch, buckets,
+                                                             np.float32, 2)
+        assert len(updates) == 4 * n_steps and slabs == 2
 
     @pytest.mark.parametrize("preset, spans", [
-        ("small", [(0, 241_281)]),
+        ("small", [(175_232, 241_281), (136_576, 175_232), (70_528, 136_576), (0, 70_528)]),
         ("large", [(10_576_896, 14_775_297), (8_432_640, 10_576_896), (4_234_240, 8_432_640),
                    (0, 4_234_240)]),
     ])
-    def test_fit_updates_spans_from_one_gradient_scratch(self, monkeypatch, preset, spans):
-        # at the criterion-6 widths: the small preset updates all of flat at once and
-        # the large one in four spans, from one scratch as long as the longest span
+    def test_fit_updates_spans_from_one_gradient_scratch(self, monkeypatch, tmp_path, preset,
+                                                         spans):
+        # at the criterion-6 widths both presets update four ranges per step. The large one
+        # updates them all here, from one scratch as long as the longest range. The small one
+        # leaves all but the last to the Adam process, and each range's gradient sits at the
+        # range's own offset of one whole gradient, laid out as flat.
         arch = ArchConfig.preset(preset, sensor_dim=38, meas_dim=22)
-        updates, scratches = [], set()
+        record = tmp_path / "updates"
 
         def recording_adam_step(params, grad, state, t, cfg, pool=None, start=0):
-            updates.append((start, start + len(grad)))
-            scratches.add((id(grad.base), grad.base.size))
+            with open(record, "a") as fh:  # appended to by both processes
+                fh.write(f"{os.getpid()} {start} {start + len(grad)} {grad.ctypes.data} "
+                         f"{grad.itemsize} {grad.base.size}\n")
             adam_step(params, grad, state, t, cfg, pool, start)
 
         monkeypatch.setattr(train, "adam_step", recording_adam_step)
@@ -490,8 +565,19 @@ class TestFusedAdamStep:
                              rng.uniform(size=(2, 22)).astype(np.float32),
                              np.array([20.0, 21.0]), np.array([20.0, 21.0]))
         fit(arch, [bucket], [bucket], TrainConfig(max_epochs=1))
-        assert updates == spans
-        assert [size for _, size in scratches] == [max(stop - start for start, stop in spans)]
+        rows = sorted((tuple(map(int, line.split())) for line in record.read_text().splitlines()),
+                      key=lambda row: -row[1])
+        assert [(start, stop) for _, start, stop, *_ in rows] == spans
+        here = [pid == os.getpid() for pid, *_ in rows]
+        if preset == "large":
+            assert all(here)
+            assert len({address for _, _, _, address, _, _ in rows}) == 1
+            assert {size for *_, size in rows} == {max(stop - start for start, stop in spans)}
+        else:
+            assert here == [False, False, False, True]
+            assert len({pid for pid, *_ in rows}) == 2
+            assert len({address - start * itemsize
+                        for _, start, _, address, itemsize, _ in rows}) == 1
 
 
 class TestEarlyStopper:
