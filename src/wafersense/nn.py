@@ -157,8 +157,7 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     trace or None); without a trace, ``encode`` runs the LSTM on each PREDICT_ROWS slice.
     """
     p, cfg = params, params.cfg
-    steps = np.asarray(steps, dtype=p.dtype)
-    meas = np.asarray(meas, dtype=p.dtype)
+    steps, meas = np.asarray(steps, dtype=p.dtype), np.asarray(meas, dtype=p.dtype)
     if steps.ndim != 3 or steps.shape[1] < 1 or steps.shape[2] != cfg.sensor_dim:
         raise ValueError(f"steps must be (B, n >= 1, {cfg.sensor_dim}), got {steps.shape}")
     if meas.ndim != 2 or meas.shape[1] != cfg.meas_dim or meas.shape[0] != steps.shape[0]:
@@ -177,34 +176,40 @@ def forward_batch(params: ModelParams, steps: np.ndarray, meas: np.ndarray,
     x += p.emb_b[:, None]
     gates = np.matmul(p.wx, x)
     gates += p.b[:, None]
-    c = np.zeros((n_steps + 1, d, batch), dtype=p.dtype)
-    h = np.zeros((n_steps, d, batch), dtype=p.dtype)
-    tanh_c = np.empty((n_steps, d, batch), dtype=p.dtype)
-    recurrent = np.empty((4 * d, batch), dtype=p.dtype)
-    for t in range(n_steps):
-        a = gates[t]
-        if t:  # h_0 = 0
-            a += np.matmul(p.wh, h[t], out=recurrent)
-        i, f, o, g = activate_gates(a, d)
-        np.multiply(f, c[t], out=c[t + 1])
-        c[t + 1] += i * g
-        np.tanh(c[t + 1], out=tanh_c[t])
-        if t + 1 < n_steps:  # h_n is unused
-            np.multiply(o, tanh_c[t], out=h[t + 1])
+    c, h = np.zeros((n_steps + 1, d, batch), p.dtype), np.zeros((n_steps, d, batch), p.dtype)
+    tanh_c = np.empty_like(h)
+    recurrence(p.wh, lambda t: gates[t], n_steps, c, h, tanh_c)
 
     z0, z1, z2, preds = mlp_head(p, c[n_steps], meas)  # encoded vector is the last cell state
     return preds, ForwardTrace(steps=steps, x=x, gates=gates, c=c, h=h, tanh_c=tanh_c,
                                z0=z0, z1=z1, z2=z2)
 
 
-def activate_gates(a: np.ndarray, d: int):
-    """Views of the i, f, o, g blocks of the (4d, B) pre-activations ``a``, activated in place."""
-    sig = a[:3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
-    np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
-    sig += 1.0
-    sig *= 0.5
-    np.tanh(a[3 * d:], out=a[3 * d:])
-    return (a[k * d:(k + 1) * d] for k in range(4))
+def recurrence(wh: np.ndarray, inputs, n_steps: int, c: np.ndarray, h: np.ndarray,
+               tanh_c: np.ndarray) -> np.ndarray:
+    """The LSTM recurrence from zero states; returns c_n. ``inputs(t)`` gives step t's (4d, B)
+    input pre-activations, which are activated in place. c_t lands in c[t % len(c)], h_t in
+    h[t % len(h)], tanh(c_t) in tanh_c[(t - 1) % len(tanh_c)]: a trace keeps every step,
+    length-1 arrays only the live one. c_0's slot must hold zeros; tanh_c may be h."""
+    d = wh.shape[1]
+    recurrent = np.empty((4 * d, c.shape[-1]), dtype=c.dtype)
+    for t in range(n_steps):
+        a = inputs(t)
+        if t:  # h_0 = 0
+            a += np.matmul(wh, h[t % len(h)], out=recurrent)
+        sig = a[:3 * d]  # logistic as 0.5 * (1 + tanh(x / 2)): no exp overflow
+        np.tanh(np.multiply(sig, 0.5, out=sig), out=sig)
+        sig += 1.0
+        sig *= 0.5
+        np.tanh(a[3 * d:], out=a[3 * d:])
+        i, f, o, g = (a[k * d:(k + 1) * d] for k in range(4))
+        c_next, tanh_next = c[(t + 1) % len(c)], tanh_c[t % len(tanh_c)]
+        np.multiply(f, c[t % len(c)], out=c_next)
+        c_next += i * g
+        np.tanh(c_next, out=tanh_next)
+        if t + 1 < n_steps:  # h_n is unused
+            np.multiply(o, tanh_next, out=h[(t + 1) % len(h)])
+    return c[n_steps % len(c)]
 
 
 def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
@@ -221,18 +226,9 @@ def encode(p: ModelParams, steps: np.ndarray) -> np.ndarray:
     w_in = np.concatenate([p.wx @ p.emb_w, (p.wx @ p.emb_b + p.b)[:, None]], axis=1)
     x = np.ones((n_steps, s + 1, batch), dtype=p.dtype)
     x[:, :s] = steps.transpose(1, 2, 0)
-    a, recurrent = (np.empty((4 * d, batch), dtype=p.dtype) for _ in range(2))
-    c, h = np.zeros((d, batch), dtype=p.dtype), np.empty((d, batch), dtype=p.dtype)
-    for t in range(n_steps):
-        np.matmul(w_in, x[t], out=a)
-        if t:  # h_0 = 0
-            a += np.matmul(p.wh, h, out=recurrent)
-        i, f, o, g = activate_gates(a, d)
-        c *= f
-        c += i * g
-        if t + 1 < n_steps:  # h_n is unused
-            np.multiply(o, np.tanh(c, out=h), out=h)
-    return c[:, run_of_row]
+    a, (c, h) = np.empty((4 * d, batch), p.dtype), np.zeros((2, 1, d, batch), p.dtype)
+    c_n = recurrence(p.wh, lambda t: np.matmul(w_in, x[t], out=a), n_steps, c, h, h)
+    return c_n[:, run_of_row]
 
 
 def mlp_head(p: ModelParams, c_n: np.ndarray, meas: np.ndarray):

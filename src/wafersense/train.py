@@ -142,8 +142,8 @@ ADAM_BLOCK = 65_536
 # Adam's decay rates and epsilon (Kingma & Ba, arXiv:1412.6980)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Fewest blocks per Adam worker thread. A smaller update runs serially: the small preset's
-# 4 blocks gain nothing from a second thread, but a forked Adam process overlaps them with
-# the backward pass; the large preset's 226 blocks split over two cores.
+# 4 blocks gain nothing from a second thread, but a forked Adam process on a second core
+# overlaps them with the backward pass; the large preset's 226 blocks split over two cores.
 MIN_BLOCKS_PER_WORKER = 16
 # Every this many steps, moments whose update product would be subnormal are
 # zeroed: a zero gradient decays them towards subnormals, which slow every step.
@@ -164,12 +164,15 @@ def init_adam_state(params: ModelParams, workers: int = 1) -> AdamState:
                                       params.dtype))
 
 
+def cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def adam_workers(n_params: int) -> int:
     """Threads for the Adam update of ``n_params`` elements: one per core this
     process may run on, each with at least MIN_BLOCKS_PER_WORKER blocks."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_blocks = -(-n_params // ADAM_BLOCK)
-    return max(1, min(cores or 1, n_blocks // MIN_BLOCKS_PER_WORKER))
+    return max(1, min(cores(), -(-n_params // ADAM_BLOCK) // MIN_BLOCKS_PER_WORKER))
 
 
 @functools.cache
@@ -303,14 +306,15 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     Stops once ``patience`` consecutive epochs bring no strictly lower
     validation loss, or at max_epochs. The returned parameters are the
     ones from the best-validation epoch. Adam runs on each range backward_batch is done
-    with. Under MIN_BLOCKS_PER_WORKER blocks (the small preset), at one OpenBLAS thread, a
-    forked Adam process updates all ranges but the last from one shared map of the weights,
-    a whole gradient and the moments. A larger model's gradient is one longest-range scratch.
+    with. On 2+ cores under MIN_BLOCKS_PER_WORKER blocks (the small preset), at one OpenBLAS
+    thread, a forked Adam process updates all ranges but the last from one shared map of the
+    weights, a whole gradient and the moments. Else the gradient is one longest-range scratch.
     """
     if not train_buckets or not val_buckets:
         raise TrainingDiverged("need at least one train and one val batch")
     params = init_params(arch, cfg.seed)
-    forked, blas = -(-params.size() // ADAM_BLOCK) < MIN_BLOCKS_PER_WORKER, _openblas()
+    forked = -(-params.size() // ADAM_BLOCK) < MIN_BLOCKS_PER_WORKER and cores() > 1
+    blas = _openblas()
     workers = 1 if forked else adam_workers(params.size())  # the Adam process has no pool
     state = init_adam_state(params, workers)
     if forked:

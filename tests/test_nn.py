@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from wafersense.nn import (
     ArchConfig,
     CheckpointError,
     ModelParams,
-    activate_gates,
     backward,
     backward_batch,
     encode,
@@ -190,6 +191,20 @@ class TestForward:
         copied, _ = forward_batch(params, steps.copy(), meas.copy(), want_trace=False)
         assert np.array_equal(lean, copied)
 
+    @pytest.mark.parametrize("batch", [1, 16, 300])
+    @pytest.mark.parametrize("preset", ["small", "large"])
+    def test_prefix_cell_states_equal_prefix_forwards(self, preset, batch):
+        # the head reads c_n and the recurrence runs forward only, so c_k of a traced forward
+        # is the encoded vector of its first k steps: one pass gives every prefix's bits
+        params = init_params(ArchConfig.preset(preset, sensor_dim=38, meas_dim=22), seed=5)
+        rng = np.random.default_rng(80 + batch)
+        steps = rng.uniform(size=(batch, 5, 38)).astype(np.float32)
+        meas = rng.uniform(size=(batch, 22)).astype(np.float32)
+        _, trace = forward_batch(params, steps, meas)
+        for k in range(1, 5):
+            _, prefix = forward_batch(params, steps[:, :k], meas)
+            assert trace.c[k].tobytes() == prefix.c[k].tobytes()
+
     def test_cell_state_bounded_by_step_count(self):
         # |c_t| grows by at most 1 per step regardless of weight scale
         params = tiny_params(5)
@@ -204,15 +219,19 @@ class TestForward:
 
 
 def untraced_with_widths(params, steps, meas):
-    """Untraced predictions and the column count of every gate block ``encode`` activated."""
-    widths = []
+    """Untraced predictions and the column count of the gate block the recurrence activated
+    at each step of every ``encode`` call."""
+    widths, recurrence = [], nn.recurrence
 
-    def spy(a, d):
-        widths.append(a.shape[1])
-        return activate_gates(a, d)
+    def spy(wh, inputs, n_steps, *states):
+        def recorded(t):
+            block = inputs(t)
+            widths.append(block.shape[1])
+            return block
+        return recurrence(wh, recorded, n_steps, *states)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "activate_gates", spy)
+        mp.setattr(nn, "recurrence", spy)
         preds, _ = forward_batch(params, steps, meas, want_trace=False)
     return preds, widths
 
@@ -251,6 +270,22 @@ class TestEncodeOnce:
                 mp.setattr(nn, "PREDICT_ROWS", cut)
                 got = dataset_loss(params, [TrainBucket(n, steps, meas, target, scale)])
             assert got == pytest.approx(np.mean(per_row), rel=1e-12, abs=1e-12)
+
+    def test_peak_memory_is_a_few_live_gate_blocks(self):
+        # the untraced path keeps one live (4d, U) gate block and one c and h per run, not
+        # every step's states: 9 steps of those would take about 10 blocks
+        arch, rows = ArchConfig(sensor_dim=38, meas_dim=22, d=256, mlp_hidden=512), 512
+        params = init_params(arch, seed=0)
+        rng = np.random.default_rng(81)
+        steps = rng.uniform(size=(rows, 9, 38)).astype(np.float32)
+        meas = rng.uniform(size=(rows, 22)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            forward_batch(params, steps, meas, want_trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (4 * arch.d * rows * np.dtype(np.float32).itemsize)
 
     def test_empty_batch_predicts_nothing(self):
         preds, widths = untraced_with_widths(tiny_params(0), np.zeros((0, 2, 6)), np.zeros((0, 3)))

@@ -320,16 +320,27 @@ class TestAdam:
             assert np.array_equal(a, b)
 
 
+def pin_cores(monkeypatch, cores):
+    """Make train see ``cores`` cores, whatever the machine's."""
+    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
 def force_adam_workers(monkeypatch, workers):
     """Make fit split Adam over ``workers`` threads whatever the machine's cores."""
-    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
+    pin_cores(monkeypatch, workers)
     monkeypatch.setattr(train, "MIN_BLOCKS_PER_WORKER", 1)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two cores, so that fit forks its Adam process beside a small model on any machine."""
+    pin_cores(monkeypatch, 2)
 
 
 class TestAdamWorkers:
     def test_worker_count_follows_blocks_and_cores(self, monkeypatch):
-        monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pin_cores(monkeypatch, 2)
         assert train.adam_workers(241_281) == 1  # the small preset on criterion-6 data
         assert train.adam_workers(14_775_297) == 2  # the large preset on train_large_nl1 data
         assert train.adam_workers(1) == 1
@@ -420,9 +431,10 @@ def recording_forks(monkeypatch) -> list[int]:
     return pids
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestAdamProcess:
-    """fit's forked Adam process, beside a model under MIN_BLOCKS_PER_WORKER blocks: however
-    fit ends, the process is reaped and OpenBLAS gets its thread count back."""
+    """fit's forked Adam process, beside a model under MIN_BLOCKS_PER_WORKER blocks on two
+    cores: however fit ends, the process is reaped and OpenBLAS gets its thread count back."""
 
     @pytest.mark.parametrize("ending", ["returned", "diverged", "killed"])
     def test_reaped_and_blas_threads_restored(self, monkeypatch, caplog, ending):
@@ -472,6 +484,28 @@ class TestAdamProcess:
             os.waitpid(-1, os.WNOHANG)
 
 
+def test_one_core_fit_forks_nothing_and_matches_the_forked_bytes(monkeypatch):
+    # on one core an Adam process would only take turns with fit, so a small model updates in
+    # this process; Adam works element by element, so the bytes are the forked run's
+    pids, last, runs = recording_forks(monkeypatch), {}, {}
+
+    def recording_adam_step(params, grad, state, t, cfg, pool=None, start=0):
+        last.update(params=params, state=state)
+        adam_step(params, grad, state, t, cfg, pool, start)
+
+    monkeypatch.setattr(train, "adam_step", recording_adam_step)
+    buckets = [toy_bucket(n_samples=9, n_steps=n, seed=n) for n in (1, 2, 3)]
+    cfg = TrainConfig(max_epochs=3, batch_size=4, learning_rate=1e-2)
+    for cores in (1, 2):  # pids gathers the forks of both runs
+        pin_cores(monkeypatch, cores)
+        best, history = fit(TINY_ARCH, buckets, [toy_bucket(seed=9)], cfg)
+        assert len(pids) == cores - 1 and len(history) == 3
+        runs[cores] = [history] + [arr.tobytes() for arr in (
+            best.flat, last["params"].flat, last["state"].m, last["state"].v)]
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.usefixtures("two_cores")
 class TestFusedAdamStep:
     """fit's Adam on each range the backward pass is done with, against a reference
     loop over the same batches: a whole backward pass, then one update of all of
