@@ -14,16 +14,23 @@ Empty cells stay missing, never 0: NaN in numeric columns, "" in label columns.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import mmap
+import os
+import pickle
+import signal
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, filterfalse, islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import host
 from .domain import (INSPECTION_LABELS, OTHER_LABEL, PASSFAIL_LABELS, MeasurementTable,
                      SensorTable, WaferTable)
 
@@ -39,6 +46,9 @@ LIMITS_COLUMNS = ["kqi", "type", "stage", "lcl", "ucl"]
 LIMITS_LABELS, LIMITS_NUMBERS = LIMITS_COLUMNS[:3], LIMITS_COLUMNS[3:]
 SENSOR_ID_COLUMNS = ["processing_id", "product_id", "timestamp"]
 CHUNK_ROWS = 512  # rows read, deduplicated and converted at a time
+# A smaller file is read in one part: forking the part reader, pickling its rows and joining
+# them cost about as much as parsing 0.5 MB.
+SPLIT_BYTES = 1 << 20
 MONITOR_MARKER = "MON"  # default substring of the KQI label that marks a monitor row
 
 _EPOCH = datetime(1970, 1, 1)
@@ -87,11 +97,18 @@ def load_table(path, labels: list[str], numbers: list[str] | None = None) -> Csv
     """Read a CSV into ``str`` columns ``labels`` and float columns ``numbers``
     (by default every other column), ``CHUNK_ROWS`` rows at a time. Any further
     column only tells rows apart: a row whose cells all equal an earlier row's
-    is dropped. Rows must have the header's width; a UTF-8 BOM is skipped."""
+    is dropped. Rows must have the header's width; a UTF-8 BOM is skipped.
+
+    A file of at least SPLIT_BYTES that holds no ``"``, read by a process that may run
+    on two or more cores, is read in two parts at once: a forked part reader reads the
+    rows after the first line end at or past the middle byte while this process reads
+    the rest, and the parts are joined in file order. Without a ``"`` every line end
+    ends a row. The reader is reaped however this call ends."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
+    cut, pid, row0 = _cut(path), 0, 0  # row0: the data row the part being read starts at
+    try:
+        with _text(path, 0, cut or None, "utf-8-sig") as fh:
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise IngestError(f"{path}: empty file, header row required")
@@ -99,44 +116,158 @@ def load_table(path, labels: list[str], numbers: list[str] | None = None) -> Csv
             for name in [*labels, *numbers]:
                 if name not in header:
                     raise IngestError(f"missing required column {name!r}")
-            width = len(header)
-            if len(set(header)) < width:
+            if len(set(header)) < len(header):
                 raise IngestError(f"{path}: a column name repeats in the header")
-            cells, memo = {name: [] for name in labels}, {}  # memo: one str per distinct label
-            values, bad = {name: [] for name in numbers}, {name: ([], []) for name in numbers}
-            seen, sources, n_read = set(), [], 0  # sources: the data row of each kept row
-            for chunk in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
-                ragged = next(compress(count(n_read), map(width.__ne__, map(len, chunk))), None)
-                if ragged is not None:
-                    raise IngestError(f"{path}: ragged row at line {_line_of(path, ragged)}")
-                kept = _first_occurrences(chunk, width, seen)
-                columns = list(zip(*map(chunk.__getitem__, kept))) or [()] * width
-                columns = dict(zip(header, columns))
-                for name in labels:
-                    cells[name].extend(map(memo.setdefault, columns[name], columns[name]))
-                for name in numbers:
-                    values[name].append(_numbers(columns[name], len(sources), bad[name]))
-                sources.extend(map(n_read.__add__, kept))
-                n_read += len(chunk)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise IngestError(f"{path}: {exc}") from None
+            if cut:
+                pid, results = _fork_part_reader(path, cut, header, labels, numbers)
+            part = _read_part(reader, header, labels, numbers)
+        if pid:
+            row0 = part.n_read
+            try:
+                second = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the part reader (pid {pid}) ended without a result") from None
+            if isinstance(second, UnicodeDecodeError):  # name the byte as a one-part read does
+                with _text(path, 0, None, "utf-8-sig") as fh:
+                    deque(fh, maxlen=0)
+            if isinstance(second, Exception):
+                raise second
+            part = _join(part, second)
+    except _RaggedRow as exc:
+        line = _line_of(path, row0 + exc.args[0])
+        raise IngestError(f"{path}: ragged row at line {line}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    finally:
+        if pid:  # the reader has nothing left to do once its result is read
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return CsvTable(path, part.columns, tuple(numbers), part.bad, part.sources, part.n_read,
+                    part.n_read - len(part.sources))
+
+
+class _Part(NamedTuple):
+    """The distinct rows of part of a CSV, as CsvTable holds them; ``seen`` holds the key of
+    each, in order, and ``sources`` counts data rows from the part's first."""
+
+    columns: dict[str, np.ndarray]
+    bad: dict[str, tuple[list, list]]
+    seen: dict
+    sources: np.ndarray
+    n_read: int
+
+
+class _RaggedRow(Exception):
+    """Data row ``args[0]`` of a part is not as wide as the header."""
+
+
+class _Span(io.RawIOBase):
+    """The next ``size`` bytes of the raw file ``raw``."""
+
+    def __init__(self, raw, size: int):
+        self.raw, self.left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(memoryview(buffer)[:self.left])
+        self.left -= n
+        return n
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
+
+
+def _text(path: Path, start: int, stop: int | None, encoding: str) -> io.TextIOWrapper:
+    """Bytes ``start`` to ``stop`` (to the end if None) of ``path`` as text for ``csv``."""
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    return io.TextIOWrapper(io.BufferedReader(raw if stop is None else _Span(raw, stop - start)),
+                            encoding, newline="")
+
+
+def _cut(path: Path) -> int:
+    """The byte a two-part read of ``path`` starts its second part at, or 0."""
+    if host.cores() < 2 or path.stat().st_size < SPLIT_BYTES:
+        return 0
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        cut = data.find(b"\n", len(data) // 2) + 1
+        return cut if 0 < cut < len(data) and data.find(b'"') < 0 else 0
+
+
+def _fork_part_reader(path: Path, cut: int, header, labels, numbers):
+    """Fork the reader of ``path``'s rows from byte ``cut`` on; returns its pid and the stream
+    it pickles its _Part to, or the _RaggedRow, ``csv.Error`` or UnicodeDecodeError it met."""
+    reader, writer = os.pipe()
+    if (pid := os.fork()) == 0:  # the part reader: it never returns into the caller
+        try:
+            os.close(reader)
+            with open(writer, "wb") as out:
+                try:
+                    with _text(path, cut, None, "utf-8") as fh:
+                        result = _read_part(csv.reader(fh), header, labels, numbers)
+                except (_RaggedRow, csv.Error, UnicodeDecodeError) as exc:
+                    result = exc
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
+def _read_part(reader, header: list[str], labels: list[str], numbers: list[str]) -> _Part:
+    """The distinct data rows of ``reader``, ``CHUNK_ROWS`` at a time."""
+    width = len(header)
+    cells, memo = {name: [] for name in labels}, {}  # memo: one str per distinct label
+    values, bad = {name: [] for name in numbers}, {name: ([], []) for name in numbers}
+    seen, sources, n_read = {}, [], 0  # sources: the data row of each kept row
+    for chunk in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
+        ragged = next(compress(count(n_read), map(width.__ne__, map(len, chunk))), None)
+        if ragged is not None:
+            raise _RaggedRow(ragged)
+        kept = _first_occurrences(chunk, width, seen)
+        columns = list(zip(*map(chunk.__getitem__, kept))) or [()] * width
+        columns = dict(zip(header, columns))
+        for name in labels:
+            cells[name].extend(map(memo.setdefault, columns[name], columns[name]))
+        for name in numbers:
+            values[name].append(_numbers(columns[name], len(sources), bad[name]))
+        sources.extend(map(n_read.__add__, kept))
+        n_read += len(chunk)
     columns = {name: np.array(c, dtype=object) for name, c in cells.items()}
     columns.update((name, np.concatenate([*v, np.empty(0)])) for name, v in values.items())
-    return CsvTable(path, columns, tuple(numbers), bad, np.array(sources, np.int64), n_read,
-                    n_read - len(sources))
+    return _Part(columns, bad, seen, np.array(sources, np.int64), n_read)
 
 
-def _first_occurrences(chunk: list[list[str]], width: int, seen: set) -> list[int]:
+def _join(first: _Part, second: _Part) -> _Part:
+    """The rows of ``first`` then those of ``second`` whose key no row of ``first`` holds,
+    with the second part's rows counted on from the first's."""
+    keep = ~np.fromiter(map(first.seen.__contains__, second.seen), bool, len(second.seen))
+    index = np.cumsum(keep) - 1 + len(first.sources)  # the joined index of each kept row
+    columns = {name: np.concatenate([column, second.columns[name][keep]])
+               for name, column in first.columns.items()}
+    bad = {name: tuple(cells + [(int(index[row]), cell) for row, cell in more if keep[row]]
+                       for cells, more in zip(first.bad[name], second.bad[name]))
+           for name in first.bad}
+    sources = np.concatenate([first.sources, second.sources[keep] + first.n_read])
+    return _Part(columns, bad, {}, sources, first.n_read + second.n_read)
+
+
+def _first_occurrences(chunk: list[list[str]], width: int, seen: dict) -> list[int]:
     """Indices of the rows of ``chunk`` equal to no earlier row, whose keys join
-    ``seen``. A key is the cells joined by NUL, exact while it holds only the
-    ``width - 1`` joints as NULs; any other row is keyed by its tuple."""
+    ``seen`` in row order. A key is the cells joined by NUL, exact while it holds only
+    the ``width - 1`` joints as NULs; any other row is keyed by its tuple."""
     keys = list(map("\0".join, chunk))
     if sum(map(str.count, keys, repeat("\0"))) > len(keys) * (width - 1):
         keys = [k if k.count("\0") == width - 1 else tuple(r) for k, r in zip(keys, chunk)]
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    fresh = first.keys() - seen
-    seen |= fresh
-    return sorted(map(first.__getitem__, fresh))
+    kept = sorted(map(first.__getitem__, filterfalse(seen.__contains__, first)))
+    seen.update(zip(map(keys.__getitem__, kept), repeat(None)))
+    return kept
 
 
 def _numbers(cells, row0: int, bad: tuple[list, list]) -> np.ndarray:

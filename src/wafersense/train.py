@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import host
 from .atomic import write_csv
 from .nn import ArchConfig, ModelParams, backward_batch, backward_ranges, forward_batch, init_params
 from .normgroups import GroupKey, NormalizationGroup, group_bounds, normalize_target
@@ -164,15 +165,10 @@ def init_adam_state(params: ModelParams, workers: int = 1) -> AdamState:
                                       params.dtype))
 
 
-def cores() -> int:
-    """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def adam_workers(n_params: int) -> int:
     """Threads for the Adam update of ``n_params`` elements: one per core this
     process may run on, each with at least MIN_BLOCKS_PER_WORKER blocks."""
-    return max(1, min(cores(), -(-n_params // ADAM_BLOCK) // MIN_BLOCKS_PER_WORKER))
+    return max(1, min(host.cores(), -(-n_params // ADAM_BLOCK) // MIN_BLOCKS_PER_WORKER))
 
 
 @functools.cache
@@ -313,7 +309,7 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     if not train_buckets or not val_buckets:
         raise TrainingDiverged("need at least one train and one val batch")
     params = init_params(arch, cfg.seed)
-    forked = -(-params.size() // ADAM_BLOCK) < MIN_BLOCKS_PER_WORKER and cores() > 1
+    forked = -(-params.size() // ADAM_BLOCK) < MIN_BLOCKS_PER_WORKER and host.cores() > 1
     blas = _openblas()
     workers = 1 if forked else adam_workers(params.size())  # the Adam process has no pool
     state = init_adam_state(params, workers)

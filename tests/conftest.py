@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wafersense import cli
+from wafersense import cli, host
 from wafersense.domain import MeasurementTable, SensorTable, WaferTable
 from wafersense.ingest import datetime_features
 from wafersense.nn import ModelParams
@@ -40,6 +41,25 @@ def write_config(path: Path, text: str = TINY_CONFIG) -> Path:
     cfg = path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
     return cfg
+
+
+def pin_cores(monkeypatch, cores: int) -> None:
+    """Make the program see ``cores`` cores, whatever the machine's."""
+    monkeypatch.setattr(host, "cores", lambda: cores)
+
+
+def recording_forks(monkeypatch) -> list[int]:
+    """The pids of the processes the program forks, filled in as it forks them."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:

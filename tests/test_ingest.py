@@ -1,18 +1,22 @@
 import csv
+import os
+import signal
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wafersense import ingest
+from wafersense import host, ingest
 from wafersense.ingest import (
     IngestError,
     load_table,
     split_train_val_test,
 )
 from wafersense.synthgen import SynthConfig, generate
+
+from conftest import examples, pin_cores, recording_forks
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -152,6 +156,123 @@ class TestDedupe:
         expected = list(dict.fromkeys(rows))
         assert kept_rows(table, ["a", "b"]) == expected
         assert (table.n_read, table.n_duplicates) == (len(rows), len(rows) - len(expected))
+
+
+# quote-free cells: empty, garbled and non-finite number spellings, and NULs that make the
+# row's key a tuple
+QUOTE_FREE = ["", "a", "b", "a\0b", "\0", "Ä", "1", "1.0", "2.5", "x", " 3", "1_0", "nan",
+              "-1e999"]
+
+
+@st.composite
+def quote_free_csvs(draw):
+    """A quote-free CSV with header id,n1,n2,tag and LF or CRLF line ends, whose rows are
+    drawn from a few distinct ones so that duplicates fall on both sides of a cut; one
+    row may be ragged or hold a byte that is not UTF-8."""
+    pool = draw(st.lists(st.lists(st.sampled_from(QUOTE_FREE), min_size=4, max_size=4),
+                         min_size=1, max_size=6))
+    rows = [["id", "n1", "n2", "tag"], *draw(st.lists(st.sampled_from(pool), max_size=30))]
+    if len(rows) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(rows) - 1))
+        rows[at] = draw(st.sampled_from([rows[at][:3], rows[at] + ["x"], [],
+                                         ["\udcff", *rows[at][1:]]]))
+    lines = [",".join(row) + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+
+def read(path, cores, *columns):
+    """load_table's table or IngestError message on ``cores`` cores, with any file of
+    more than a few bytes read in two parts where it may be."""
+    with mock.patch.object(host, "cores", lambda: cores), \
+            mock.patch.object(ingest, "SPLIT_BYTES", 8):
+        try:
+            return load_table(path, *columns)
+        except IngestError as exc:
+            return str(exc)
+
+
+def assert_same_read(got, want):
+    """The same IngestError message, or CsvTables equal in every field."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.path, list(got.columns), got.numbers, got.bad_cells, got.n_read,
+            got.n_duplicates) == (want.path, list(want.columns), want.numbers, want.bad_cells,
+                                  want.n_read, want.n_duplicates)
+    for name, column in want.columns.items():
+        assert got.columns[name].dtype == column.dtype
+        assert (got.columns[name].tolist() == column.tolist() if column.dtype == object
+                else got.columns[name].tobytes() == column.tobytes())
+    assert got.source_rows.tobytes() == want.source_rows.tobytes()
+
+
+class TestTwoPartRead:
+    """A quote-free file read in two parts at once gives the one-part read's table or
+    error, and leaves no process behind."""
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(quote_free_csvs(), st.integers(1, 4))
+    def test_equals_the_one_part_read(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("split") / "t.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" as byte 0xff
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+            assert_same_read(read(path, 2, ["id"], ["n1", "n2"]),
+                             read(path, 1, ["id"], ["n1", "n2"]))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_ragged_row_in_the_second_part_reports_its_file_line(self, tmp_path, monkeypatch):
+        pids = recording_forks(monkeypatch)
+        assert read(write(tmp_path, "a,b\n1,2\n1,2,3\n"), 2, ["a"]) == \
+            f"{tmp_path / 't.csv'}: ragged row at line 3"
+        assert len(pids) == 1
+
+
+    @pytest.mark.parametrize("ending", ["returned", "raised in the first part",
+                                        "raised in the second part", "interrupted",
+                                        "reader killed"])
+    def test_reader_is_reaped_however_the_call_ends(self, tmp_path, monkeypatch, ending):
+        rows = ["1,2"] * 3 + ["3,4"] * 3
+        if ending.startswith("raised"):
+            rows[0 if ending.endswith("first part") else -1] = "1,2,3"
+        path = write(tmp_path, "a,b\n" + "\n".join(rows) + "\n")
+        pids, caller, read_part = recording_forks(monkeypatch), os.getpid(), ingest._read_part
+
+        def ending_read_part(*args):
+            if ending == "interrupted" and os.getpid() == caller:
+                raise KeyboardInterrupt
+            if ending == "reader killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_part(*args)
+
+        monkeypatch.setattr(ingest, "_read_part", ending_read_part)
+        monkeypatch.setattr(ingest, "SPLIT_BYTES", 8)
+        pin_cores(monkeypatch, 2)
+        if ending == "returned":
+            assert load_table(path, ["a"]).n_duplicates == 4
+        else:
+            error, message = {"raised in the first part": (IngestError, "line 2$"),
+                              "raised in the second part": (IngestError, "line 7$"),
+                              "interrupted": (KeyboardInterrupt, None),
+                              "reader killed": (RuntimeError, "ended without a result")}[ending]
+            with pytest.raises(error, match=message):
+                load_table(path, ["a"])
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["one core", "a quote", "under SPLIT_BYTES"])
+    def test_forks_nothing(self, tmp_path, monkeypatch, case):
+        path = write(tmp_path, "a,b\n" + "1,2\n" * 4 + ('"3",4\n' if case == "a quote" else ""))
+        pids = recording_forks(monkeypatch)
+        if case != "under SPLIT_BYTES":
+            monkeypatch.setattr(ingest, "SPLIT_BYTES", 8)
+        pin_cores(monkeypatch, 1 if case == "one core" else 2)
+        assert load_table(path, ["a"]).n_duplicates == 3
+        assert pids == []
 
 
 class TestSplit:

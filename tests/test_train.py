@@ -39,7 +39,8 @@ from wafersense.train import (
     write_history_csv,
 )
 
-from conftest import TINY_CONFIG, run_cli, write_config, zeros_like_params
+from conftest import (TINY_CONFIG, pin_cores, recording_forks, run_cli, write_config,
+                      zeros_like_params)
 
 GROUP = NormalizationGroup(("K", "T", "S"), b1=0.0, b2=10.0)
 
@@ -320,12 +321,6 @@ class TestAdam:
             assert np.array_equal(a, b)
 
 
-def pin_cores(monkeypatch, cores):
-    """Make train see ``cores`` cores, whatever the machine's."""
-    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-
-
 def force_adam_workers(monkeypatch, workers):
     """Make fit split Adam over ``workers`` threads whatever the machine's cores."""
     pin_cores(monkeypatch, workers)
@@ -415,20 +410,6 @@ class TestAdamWorkers:
             fit(TINY_ARCH, [toy_bucket()], [val], cfg)
         assert max(during) > before  # the pool's threads did run
         assert threading.active_count() == before
-
-
-def recording_forks(monkeypatch) -> list[int]:
-    """The pids of the processes fit forks, filled in as it forks them."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(train.os, "fork", recording_fork)
-    return pids
 
 
 @pytest.mark.usefixtures("two_cores")
