@@ -17,11 +17,8 @@ import csv
 import io
 import logging
 import mmap
-import os
-import pickle
-import signal
 from collections import deque
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, count, filterfalse, islice, repeat
@@ -105,7 +102,7 @@ def load_table(path, labels: list[str], numbers: list[str] | None = None) -> Csv
     the rest, and the parts are joined in file order. Without a ``"`` every line end
     ends a row. The reader is reaped however this call ends."""
     path = Path(path)
-    cut, pid, row0 = _cut(path), 0, 0  # row0: the data row the part being read starts at
+    cut, row0 = _cut(path), 0  # row0: the data row the part being read starts at
     try:
         with _text(path, 0, cut or None, "utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -118,31 +115,23 @@ def load_table(path, labels: list[str], numbers: list[str] | None = None) -> Csv
                     raise IngestError(f"missing required column {name!r}")
             if len(set(header)) < len(header):
                 raise IngestError(f"{path}: a column name repeats in the header")
-            if cut:
-                pid, results = _fork_part_reader(path, cut, header, labels, numbers)
-            part = _read_part(reader, header, labels, numbers)
-        if pid:
-            row0 = part.n_read
-            try:
-                second = pickle.load(results)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"the part reader (pid {pid}) ended without a result") from None
-            if isinstance(second, UnicodeDecodeError):  # name the byte as a one-part read does
-                with _text(path, 0, None, "utf-8-sig") as fh:
-                    deque(fh, maxlen=0)
-            if isinstance(second, Exception):
-                raise second
-            part = _join(part, second)
+            with (host.forked(_read_from, path, cut, header, labels, numbers) if cut
+                  else nullcontext()) as second:
+                part = _read_part(reader, header, labels, numbers)
+                if second:
+                    row0 = part.n_read
+                    try:
+                        tail = second()
+                    except UnicodeDecodeError:  # name the byte as a one-part read does
+                        with _text(path, 0, None, "utf-8-sig") as whole:
+                            deque(whole, maxlen=0)
+                        raise
+                    part = _join(part, tail)
     except _RaggedRow as exc:
         line = _line_of(path, row0 + exc.args[0])
         raise IngestError(f"{path}: ragged row at line {line}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: {exc}") from None
-    finally:
-        if pid:  # the reader has nothing left to do once its result is read
-            results.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     return CsvTable(path, part.columns, tuple(numbers), part.bad, part.sources, part.n_read,
                     part.n_read - len(part.sources))
 
@@ -198,25 +187,10 @@ def _cut(path: Path) -> int:
         return cut if 0 < cut < len(data) and data.find(b'"') < 0 else 0
 
 
-def _fork_part_reader(path: Path, cut: int, header, labels, numbers):
-    """Fork the reader of ``path``'s rows from byte ``cut`` on; returns its pid and the stream
-    it pickles its _Part to, or the _RaggedRow, ``csv.Error`` or UnicodeDecodeError it met."""
-    reader, writer = os.pipe()
-    if (pid := os.fork()) == 0:  # the part reader: it never returns into the caller
-        try:
-            os.close(reader)
-            with open(writer, "wb") as out:
-                try:
-                    with _text(path, cut, None, "utf-8") as fh:
-                        result = _read_part(csv.reader(fh), header, labels, numbers)
-                except (_RaggedRow, csv.Error, UnicodeDecodeError) as exc:
-                    result = exc
-                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(writer)
-    return pid, open(reader, "rb")
+def _read_from(path: Path, cut: int, header, labels, numbers) -> _Part:
+    """The distinct rows of ``path`` from byte ``cut`` on: what the forked part reader reads."""
+    with _text(path, cut, None, "utf-8") as fh:
+        return _read_part(csv.reader(fh), header, labels, numbers)
 
 
 def _read_part(reader, header: list[str], labels: list[str], numbers: list[str]) -> _Part:

@@ -1,17 +1,21 @@
 import csv
+import errno
 import json
+import os
+import signal
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wafersense import synthgen
 from wafersense.synthgen import SynthConfig, generate, step_value, wafer_signal
 
 import synthref
+from conftest import pin_cores, recording_forks
 
 OUTPUT_FILES = ("sensor.csv", "metrology.csv", "limits.csv", "truth_manifest.json")
 
@@ -115,9 +119,9 @@ def small_configs(draw):
     )
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(small_configs())
-def test_generate_matches_row_list_reference(cfg):
+def assert_matches_reference(cfg):
+    """``generate`` writes the reference's bytes, no stray file, and counts its rows and
+    duplicates as the files hold them."""
     with tempfile.TemporaryDirectory() as tmp:
         result = generate(cfg, Path(tmp) / "streamed")
         synthref.generate(cfg, Path(tmp) / "reference")
@@ -131,6 +135,48 @@ def test_generate_matches_row_list_reference(cfg):
     assert result.n_sensor_duplicates == len(sensor) - len({tuple(r.values()) for r in sensor})
     assert (result.n_metrology_duplicates
             == len(metrology) - len({tuple(r.values()) for r in metrology}))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_generate_matches_row_list_reference(cfg):
+    assert_matches_reference(cfg)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+@example(SynthConfig(n_wafers=3, seed=1, wafers_per_batch=4))  # one batch: none for the child
+@example(SynthConfig(n_wafers=5, seed=2, wafers_per_batch=1, n_numeric_sensors=0,
+                     duplicate_row_rate=1.0))  # an odd batch count
+@example(SynthConfig(n_wafers=9, seed=3, wafers_per_batch=2, missing_cell_rate=1.0,
+                     duplicate_row_rate=0.0))  # no duplicates, every number cell empty
+def test_generate_in_two_processes_matches_row_list_reference(cfg):
+    """With two cores and a threshold of one batch, every run forks once and writes the
+    reference's bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_cores(patch, 2)
+        patch.setattr(synthgen, "SPLIT_BATCHES", 1)
+        pids = recording_forks(patch)
+        assert_matches_reference(cfg)
+    assert len(pids) == 1
+
+
+@pytest.mark.parametrize("case", ["one core", "under SPLIT_BATCHES"])
+def test_generate_forks_nothing(tmp_path, monkeypatch, case):
+    cfg = SynthConfig(n_wafers=4 * synthgen.SPLIT_BATCHES - 4, seed=4)  # 4 wafers a batch
+    pids = recording_forks(monkeypatch)
+    if case == "one core":
+        monkeypatch.setattr(synthgen, "SPLIT_BATCHES", 1)
+    pin_cores(monkeypatch, 1 if case == "one core" else 2)
+    generate(cfg, tmp_path)
+    assert pids == []
+    if case == "under SPLIT_BATCHES":  # one batch more is made in two processes
+        generate(SynthConfig(n_wafers=4 * synthgen.SPLIT_BATCHES, seed=4), tmp_path)
+        assert len(pids) == 1
+
+
+def no_space(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def test_failed_run_leaves_earlier_dataset_untouched(tmp_path, monkeypatch):
@@ -150,6 +196,77 @@ def test_failed_run_leaves_earlier_dataset_untouched(tmp_path, monkeypatch):
         generate(SynthConfig(n_wafers=40, seed=2), tmp_path)
     assert len(calls[-1]) == 4  # the run was writing beside all four files
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    # the same with the failure in the second half, made by the forked process
+    caller = os.getpid()
+    monkeypatch.setattr(synthgen, "_batch_lines",
+                        lambda *args: (real if os.getpid() == caller else no_space)(*args))
+    monkeypatch.setattr(synthgen, "SPLIT_BATCHES", 1)
+    pin_cores(monkeypatch, 2)
+    pids = recording_forks(monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        generate(SynthConfig(n_wafers=40, seed=2), tmp_path)
+    assert len(pids) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestTwoProcessGenerate:
+    """However a two-process run ends, its second process is reaped, and a run that fails
+    leaves no temporary file and an earlier dataset as it was."""
+
+    CFG = SynthConfig(n_wafers=40, seed=2)  # 10 batches: the second process makes P000005-9
+
+    @pytest.mark.parametrize("ending", ["returned", "raised in the parent's half",
+                                        "raised in the child's half", "interrupted",
+                                        "child killed"])
+    def test_child_is_reaped_however_the_run_ends(self, tmp_path, monkeypatch, ending):
+        generate(SynthConfig(n_wafers=40, seed=1), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        caller, real = os.getpid(), synthgen._batch_lines
+
+        def ending_batch_lines(batch, *args):
+            last = batch["processing_id"] == "P000009"
+            if ending == "raised in the parent's half" and os.getpid() == caller:
+                no_space()
+            if ending == "raised in the child's half" and last:
+                no_space()
+            if ending == "interrupted" and os.getpid() == caller:
+                raise KeyboardInterrupt
+            if ending == "child killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(batch, *args)
+
+        monkeypatch.setattr(synthgen, "_batch_lines", ending_batch_lines)
+        monkeypatch.setattr(synthgen, "SPLIT_BATCHES", 1)
+        pin_cores(monkeypatch, 2)
+        pids = recording_forks(monkeypatch)
+        if ending == "returned":
+            generate(self.CFG, tmp_path)
+            pin_cores(monkeypatch, 1)
+            generate(self.CFG, tmp_path / "one")
+            assert all((tmp_path / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+                       for name in OUTPUT_FILES)
+        elif ending == "raised in the child's half":
+            with pytest.raises(OSError) as two:
+                generate(self.CFG, tmp_path)
+            pin_cores(monkeypatch, 1)
+            with pytest.raises(OSError) as one:
+                generate(self.CFG, tmp_path)
+            assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
+        else:
+            error, message = {"raised in the parent's half": (OSError, "No space"),
+                              "interrupted": (KeyboardInterrupt, None),
+                              "child killed": (RuntimeError, None)}[ending]
+            with pytest.raises(error, match=message) as raised:
+                generate(self.CFG, tmp_path)
+            if ending == "child killed":
+                assert f"(pid {pids[0]})" in str(raised.value)
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.rglob("*.tmp")) == []
+        if ending != "returned":
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestNoiselessOracle:
