@@ -16,14 +16,21 @@ def cores() -> int:
 @contextmanager
 def forked(fn, *args):
     """Run ``fn(*args)`` in a forked process while the block runs here. Yields a callable
-    that waits for ``fn``'s result and returns it, or raises the exception ``fn`` raised.
+    that waits for ``fn``'s result and returns it, or raises the exception ``fn`` raised;
+    its ``pid`` is the process's.
 
     The process pickles its one outcome to a pipe and leaves only through ``os._exit``, so
     it never runs the caller's ``finally`` blocks or flushes the caller's buffers. However
     the block ends, the process is killed and reaped: it has nothing left to do once its
     outcome is read."""
     reader, writer = os.pipe()
-    if (pid := os.fork()) == 0:  # the forked process: it never returns into the caller
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:  # the forked process: it never returns into the caller
         try:
             os.close(reader)
             with open(writer, "wb") as out:
@@ -48,6 +55,7 @@ def forked(fn, *args):
             raise value
         return value
 
+    result.pid = pid
     try:
         yield result
     finally:

@@ -16,6 +16,7 @@ import math
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -295,6 +296,16 @@ def dataset_loss(params: ModelParams, buckets: list[TrainBucket]) -> float:
     return total / count
 
 
+def _serve_adam(params: ModelParams, grad: np.ndarray, state: AdamState, cfg: TrainConfig,
+                reader: int, requests: int, acker: int) -> None:
+    """fit's Adam process: updates each requested (t, start, stop) range, answering one byte."""
+    os.close(requests)  # fit's end: if fit's process dies, the pipe closes and this returns
+    while request := os.read(reader, 24):
+        t, start, stop = map(int, np.frombuffer(request, np.int64))
+        adam_step(params, grad[start:stop], state, t, cfg, start=start)
+        os.write(acker, b"\1")
+
+
 def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
         val_buckets: list[TrainBucket], cfg: TrainConfig):
     """Train with Adam and early stopping; return (best params, history).
@@ -326,11 +337,11 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
             lo = start - max(span.start for span in ranges if span.start <= start)
             setattr(grads, name, grad[lo:lo + view.size].reshape(view.shape))
     threads = blas.get_threads() if forked and blas.get_threads and blas.set_threads else 0
-    fds, pid, pending, t = [], 0, 0, 0
+    fds, pending, t = [], 0, 0
 
     def update(span: slice) -> None:
         nonlocal pending
-        if pid and span.start:  # not the last range, which stays here while hot in cache
+        if adam and span.start:  # not the last range, which stays here while hot in cache
             os.write(requests, np.array([t, span.start, span.stop], np.int64).tobytes())
             pending += 1
         else:
@@ -339,7 +350,8 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
     def wait() -> None:  # until the Adam process has applied every range sent to it
         nonlocal pending
         if pending and len(acks.read(pending)) < pending:
-            raise RuntimeError(f"the Adam process (pid {pid}) ended before fit did")
+            adam()  # raises the Adam process's error, or names its pid if it was killed
+            raise RuntimeError(f"the Adam process (pid {adam.pid}) stopped answering")
         pending = 0
 
     best_params = params.copy()  # the one buffer the best epoch's weights are copied into
@@ -351,21 +363,15 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
         if forked:  # the request reader stays open here, so only wait() sees a dead Adam process
             reader, requests, ack_reader, acker = fds = [*os.pipe(), *os.pipe()]
             acks = open(ack_reader, "rb", closefd=False)  # its read(n) waits for n acks
-            if (pid := os.fork()) == 0:  # the Adam process: it never returns into the caller
-                try:
-                    os.close(requests)
-                    while request := os.read(reader, 24):
-                        t, start, stop = map(int, np.frombuffer(request, np.int64))
-                        adam_step(params, grad[start:stop], state, t, cfg, start=start)
-                        os.write(acker, b"\1")
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(fds.pop())  # the Adam process's end: its exit closes the ack pipe
-        log.info("adam: %d worker thread%s, Adam process %s, OpenBLAS park hook %s, thread "
-                 "setter %s", workers, "" if workers == 1 else "s", pid or "not used",
-                 *("found" if fn else "not found" for fn in (blas.park, blas.set_threads)))
-        with ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool:
+        with (host.forked(_serve_adam, params, grad, state, cfg, reader, requests, acker)
+              if forked else nullcontext() as adam,
+              ThreadPoolExecutor(workers, thread_name_prefix="adam") as pool):
+            if adam:
+                os.close(fds.pop())  # the Adam process's end: its exit closes the ack pipe
+            log.info("adam: %d worker thread%s, Adam process %s, OpenBLAS park hook %s, "
+                     "thread setter %s", workers, "" if workers == 1 else "s",
+                     adam.pid if adam else "not used",
+                     *("found" if fn else "not found" for fn in (blas.park, blas.set_threads)))
             for epoch in range(1, cfg.max_epochs + 1):
                 train_sum, train_count = 0.0, 0
                 for steps, meas, target, scale in iter_epoch_batches(
@@ -396,10 +402,8 @@ def fit(arch: ArchConfig, train_buckets: list[TrainBucket],
                 if should_stop:
                     break
     finally:
-        for fd in fds:  # closing the request pipe ends the Adam process's loop
+        for fd in fds:
             os.close(fd)
-        if pid:
-            os.waitpid(pid, 0)
         if threads:
             blas.set_threads(threads)
     return best_params, history

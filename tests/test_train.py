@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from wafersense import train
 
-from wafersense.nn import ArchConfig, ModelParams, backward_batch, forward_batch, init_params
+from wafersense.nn import (ArchConfig, ModelParams, backward_batch, backward_ranges, forward_batch,
+                           init_params)
 from wafersense.normgroups import NormalizationGroup, normalize_target
 from wafersense.preprocess import Bucket
 from wafersense.train import (
@@ -450,10 +451,10 @@ class TestAdamProcess:
                 assert len(history) == 2
             else:
                 error = TrainingDiverged if ending == "diverged" else RuntimeError
-                with pytest.raises(error, match="validation|Adam process") as raised:
+                with pytest.raises(error, match="validation|_serve_adam") as raised:
                     fit(TINY_ARCH, [toy_bucket()], [val], cfg)
                 if ending == "killed":
-                    assert f"Adam process (pid {pids[0]})" in str(raised.value)
+                    assert f"_serve_adam (pid {pids[0]}) ended" in str(raised.value)
             assert blas.get_threads() == 2
         finally:
             signal.alarm(0)
@@ -461,6 +462,46 @@ class TestAdamProcess:
             blas.set_threads(threads)
         assert len(pids) == 1 and during and set(during) == {1}
         assert f"Adam process {pids[0]}" in caplog.text and "thread setter found" in caplog.text
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_adam_process_error_reaches_the_caller_as_in_process(self, monkeypatch):
+        # an error in the Adam process reaches fit's caller as the same error raised in this
+        # process does on one core, where fit updates every range itself
+        blas = train._openblas()
+        if blas.set_threads is None:
+            pytest.skip("numpy's OpenBLAS has no thread-count setter here")
+        pids, raised = recording_forks(monkeypatch), {}
+
+        def failing_adam_step(params, grad, state, t, cfg, pool=None, start=0):
+            if t == 3 and start:  # step 1 of epoch 2, in a range the Adam process updates
+                raise MemoryError(f"no room for step {t} at element {start}")
+            adam_step(params, grad, state, t, cfg, pool, start)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("fit did not end")
+
+        monkeypatch.setattr(train, "adam_step", failing_adam_step)
+        cfg = TrainConfig(max_epochs=2, patience=5, seed=0, batch_size=4)
+        threads = blas.get_threads()
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        blas.set_threads(2)
+        signal.alarm(60)
+        try:
+            for cores in (1, 2):
+                pin_cores(monkeypatch, cores)
+                with pytest.raises(MemoryError) as raised[cores]:
+                    fit(TINY_ARCH, [toy_bucket()], [toy_bucket(seed=9)], cfg)
+                assert blas.get_threads() == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            blas.set_threads(threads)
+        assert len(pids) == 1
+        assert type(raised[2].value) is type(raised[1].value) is MemoryError
+        tail = backward_ranges(init_params(TINY_ARCH, cfg.seed))[0].start
+        assert str(raised[2].value) == str(raised[1].value)
+        assert str(raised[1].value) == f"no room for step 3 at element {tail}"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
