@@ -418,11 +418,30 @@ class TestAdamProcess:
     """fit's forked Adam process, beside a model under MIN_BLOCKS_PER_WORKER blocks on two
     cores: however fit ends, the process is reaped and OpenBLAS gets its thread count back."""
 
-    @pytest.mark.parametrize("ending", ["returned", "diverged", "killed"])
-    def test_reaped_and_blas_threads_restored(self, monkeypatch, caplog, ending):
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's thread functions, at two threads for the test, under a 60 s alarm in
+        case fit hangs; both are restored afterwards."""
         blas = train._openblas()
         if blas.set_threads is None:
             pytest.skip("numpy's OpenBLAS has no thread-count setter here")
+
+        def timed_out(signum, frame):
+            raise TimeoutError("fit did not end")
+
+        threads = blas.get_threads()
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        blas.set_threads(2)
+        signal.alarm(60)
+        try:
+            yield blas
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            blas.set_threads(threads)
+
+    @pytest.mark.parametrize("ending", ["returned", "diverged", "killed"])
+    def test_reaped_and_blas_threads_restored(self, monkeypatch, caplog, blas, ending):
         caplog.set_level(logging.INFO, logger=train.__name__)
         pids, during = recording_forks(monkeypatch), []
 
@@ -433,44 +452,29 @@ class TestAdamProcess:
                 if ending == "killed" and t == 3:  # step 1 of epoch 2
                     os.kill(pids[0], signal.SIGKILL)
 
-        def timed_out(signum, frame):
-            raise TimeoutError("fit did not end")
-
         monkeypatch.setattr(train, "adam_step", adam_step_then_kill)
         val = toy_bucket(seed=9)
         if ending == "diverged":
             val.target[0] = np.nan  # epoch 1 trains, then its validation loss is NaN
         cfg = TrainConfig(max_epochs=2, patience=5, seed=0, batch_size=4)
-        threads = blas.get_threads()
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        blas.set_threads(2)
-        signal.alarm(60)
-        try:
-            if ending == "returned":
-                _, history = fit(TINY_ARCH, [toy_bucket()], [val], cfg)
-                assert len(history) == 2
-            else:
-                error = TrainingDiverged if ending == "diverged" else RuntimeError
-                with pytest.raises(error, match="validation|_serve_adam") as raised:
-                    fit(TINY_ARCH, [toy_bucket()], [val], cfg)
-                if ending == "killed":
-                    assert f"_serve_adam (pid {pids[0]}) ended" in str(raised.value)
-            assert blas.get_threads() == 2
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-            blas.set_threads(threads)
+        if ending == "returned":
+            _, history = fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+            assert len(history) == 2
+        else:
+            error = TrainingDiverged if ending == "diverged" else RuntimeError
+            with pytest.raises(error, match="validation|_serve_adam") as raised:
+                fit(TINY_ARCH, [toy_bucket()], [val], cfg)
+            if ending == "killed":
+                assert f"_serve_adam (pid {pids[0]}) ended" in str(raised.value)
+        assert blas.get_threads() == 2
         assert len(pids) == 1 and during and set(during) == {1}
         assert f"Adam process {pids[0]}" in caplog.text and "thread setter found" in caplog.text
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_adam_process_error_reaches_the_caller_as_in_process(self, monkeypatch):
+    def test_adam_process_error_reaches_the_caller_as_in_process(self, monkeypatch, blas):
         # an error in the Adam process reaches fit's caller as the same error raised in this
         # process does on one core, where fit updates every range itself
-        blas = train._openblas()
-        if blas.set_threads is None:
-            pytest.skip("numpy's OpenBLAS has no thread-count setter here")
         pids, raised = recording_forks(monkeypatch), {}
 
         def failing_adam_step(params, grad, state, t, cfg, pool=None, start=0):
@@ -478,25 +482,13 @@ class TestAdamProcess:
                 raise MemoryError(f"no room for step {t} at element {start}")
             adam_step(params, grad, state, t, cfg, pool, start)
 
-        def timed_out(signum, frame):
-            raise TimeoutError("fit did not end")
-
         monkeypatch.setattr(train, "adam_step", failing_adam_step)
         cfg = TrainConfig(max_epochs=2, patience=5, seed=0, batch_size=4)
-        threads = blas.get_threads()
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        blas.set_threads(2)
-        signal.alarm(60)
-        try:
-            for cores in (1, 2):
-                pin_cores(monkeypatch, cores)
-                with pytest.raises(MemoryError) as raised[cores]:
-                    fit(TINY_ARCH, [toy_bucket()], [toy_bucket(seed=9)], cfg)
-                assert blas.get_threads() == 2
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-            blas.set_threads(threads)
+        for cores in (1, 2):
+            pin_cores(monkeypatch, cores)
+            with pytest.raises(MemoryError) as raised[cores]:
+                fit(TINY_ARCH, [toy_bucket()], [toy_bucket(seed=9)], cfg)
+            assert blas.get_threads() == 2
         assert len(pids) == 1
         assert type(raised[2].value) is type(raised[1].value) is MemoryError
         tail = backward_ranges(init_params(TINY_ARCH, cfg.seed))[0].start
